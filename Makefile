@@ -175,7 +175,7 @@ scale-smoke-short:
 # runtime allocates on its own behalf), so ci runs them explicitly
 # without instrumentation; see docs/performance.md.
 allocs-guard:
-	$(GO) test -run AllocsCeiling ./internal/graph/ ./internal/graphio/ ./internal/mpc/
+	$(GO) test -run AllocsCeiling ./internal/graph/ ./internal/graphio/ ./internal/mpc/ ./internal/service/
 
 docs-check:
 	$(GO) run ./internal/tools/readmecheck README.md docs/service.md

@@ -28,7 +28,7 @@ func runServe(args []string, env Env) error {
 		addr         = fs.String("addr", "127.0.0.1:8080", "listen address; port 0 picks an ephemeral port")
 		workers      = fs.Int("workers", 2, "concurrent solve workers draining the job queue")
 		queueDepth   = fs.Int("queue", 64, "job queue bound; a full queue rejects submissions with 429")
-		cacheEntries = fs.Int("cache", 1024, "result-cache entry bound (negative disables caching)")
+		cacheEntries = fs.Int("cache", 1024, "entry bound of the memory result cache and, separately, of the resolve memo (negative disables both)")
 		cacheDir     = fs.String("cache-dir", "", "persistent result-cache directory; results survive restarts and crashes (empty disables the disk tier)")
 		diskEntries  = fs.Int("disk-entries", 0, "persistent-tier entry bound (0 = default 65536); oldest entries by access time are evicted")
 		jobWorkers   = fs.Int("job-workers", 0, "per-job parallel workers when a request leaves workers unset (0 = all cores); results are identical for every value")
@@ -51,6 +51,11 @@ func runServe(args []string, env Env) error {
 	if err != nil {
 		return err
 	}
+	// The handler is installed before the listen line below: a script may
+	// SIGTERM the daemon the moment it reads that line, and the signal
+	// must then drain it, not kill it.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 
 	// Fault injection is an env var, not a flag: it exists for the
 	// chaos harness and must be impossible to arm by flag typo.
@@ -100,9 +105,6 @@ func runServe(args []string, env Env) error {
 	fmt.Fprintf(env.Stdout, "mpcgraphd listening on http://%s\n", ln.Addr())
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -95,15 +95,33 @@ func Lookup(name string) (*Scenario, bool) {
 // unknown keys are rejected. The result is deterministic in
 // (name, n, seed, params).
 func Generate(name string, n int, seed uint64, params map[string]float64) (*Instance, error) {
+	r, err := Resolve(name, n, seed, params)
+	if err != nil {
+		return nil, err
+	}
+	return r.Generate()
+}
+
+// Resolved is a scenario request with every default applied: a positive
+// n and a value for every documented parameter, nothing else. Generate
+// is a pure function of it, so two requests that resolve to equal
+// values describe the same instance.
+type Resolved struct {
+	Scenario *Scenario
+	N        int
+	Seed     uint64
+	Params   map[string]float64
+}
+
+// Resolve validates a request for the named scenario without generating
+// it: it applies the default n and the parameter defaults and rejects
+// unknown or non-finite parameters — every check Generate makes before
+// it runs the generator.
+func Resolve(name string, n int, seed uint64, params map[string]float64) (*Resolved, error) {
 	s, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown scenario %q (known: %s)", name, strings.Join(Names(), ", "))
 	}
-	return s.Generate(n, seed, params)
-}
-
-// Generate materializes s; see the package-level Generate.
-func (s *Scenario) Generate(n int, seed uint64, params map[string]float64) (*Instance, error) {
 	if n <= 0 {
 		n = s.DefaultN
 	}
@@ -136,7 +154,13 @@ func (s *Scenario) Generate(n int, seed uint64, params map[string]float64) (*Ins
 		}
 		resolved[key] = v
 	}
-	g, wg, err := s.generate(n, rng.New(seed), resolved)
+	return &Resolved{Scenario: s, N: n, Seed: seed, Params: resolved}, nil
+}
+
+// Generate runs the recipe's generator on the resolved request.
+func (r *Resolved) Generate() (*Instance, error) {
+	s := r.Scenario
+	g, wg, err := s.generate(r.N, rng.New(r.Seed), r.Params)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"strings"
 
 	"mpcgraph"
 	"mpcgraph/internal/graphio"
 	"mpcgraph/internal/model"
 	"mpcgraph/internal/registry"
+	"mpcgraph/internal/scenario"
 )
 
 // JobRequest is the POST /v1/jobs body. Exactly one of Scenario and
@@ -99,46 +101,55 @@ func (req *JobRequest) resolvePair() (mpcgraph.Problem, mpcgraph.Model, error) {
 	return problem, mod, nil
 }
 
-// resolve validates the request and materializes the instance. The
-// returned source string describes the instance origin for job views.
-func (req *JobRequest) resolve(cfg Config) (mpcgraph.Problem, mpcgraph.Model, mpcgraph.Options, mpcgraph.Instance, string, error) {
-	var (
-		opts     mpcgraph.Options
-		instance mpcgraph.Instance
-		source   string
-	)
+// resolvedRequest is a validated JobRequest: the (problem, model) pair,
+// the solve options and the instance spec — the resolve memo's key (see
+// memo.go) — with what build needs to materialize the instance.
+// Resolving builds nothing.
+type resolvedRequest struct {
+	problem mpcgraph.Problem
+	model   mpcgraph.Model
+	opts    mpcgraph.Options
+	spec    string
+
+	// Exactly one instance source: a resolved scenario, or an upload's
+	// format and bytes — the content as sent (text) or its base64
+	// decoding (raw).
+	scenario *scenario.Resolved
+	format   graphio.Format
+	text     string
+	raw      []byte
+}
+
+// resolve validates the request without materializing its instance:
+// every check that needs no graph, in the order the errors surface.
+func (req *JobRequest) resolve(cfg Config) (*resolvedRequest, error) {
 	problem, mod, err := req.resolvePair()
 	if err != nil {
-		return problem, mod, opts, nil, "", err
+		return nil, err
 	}
-
+	r := &resolvedRequest{problem: problem, model: mod}
 	switch {
 	case req.Scenario != nil && req.Graph != nil:
-		return problem, mod, opts, nil, "", fmt.Errorf("service: scenario and graph are mutually exclusive")
+		return nil, fmt.Errorf("service: scenario and graph are mutually exclusive")
 	case req.Scenario != nil:
 		if req.Scenario.Name == "" {
-			return problem, mod, opts, nil, "", fmt.Errorf("service: scenario needs a name (see GET /v1/catalog)")
+			return nil, fmt.Errorf("service: scenario needs a name (see GET /v1/catalog)")
 		}
-		instance, err = mpcgraph.GenerateScenario(req.Scenario.Name, req.Scenario.N, req.Scenario.Seed, req.Scenario.Params)
+		r.scenario, err = scenario.Resolve(req.Scenario.Name, req.Scenario.N, req.Scenario.Seed, req.Scenario.Params)
 		if err != nil {
-			return problem, mod, opts, nil, "", err
+			return nil, err
 		}
-		source = fmt.Sprintf("scenario %s (n=%d seed=%d)", req.Scenario.Name, instance.NumVertices(), req.Scenario.Seed)
+		r.spec = scenarioSpec(r.scenario)
 	case req.Graph != nil:
-		instance, err = req.Graph.parse()
-		if err != nil {
-			return problem, mod, opts, nil, "", err
+		if err := req.Graph.decode(r); err != nil {
+			return nil, err
 		}
-		source = fmt.Sprintf("upload (%s, n=%d m=%d)", req.Graph.Format, instance.NumVertices(), instance.NumEdges())
+		r.spec = uploadSpec(r.format, r.text, r.raw)
 	default:
-		return problem, mod, opts, nil, "", fmt.Errorf("service: request needs an instance: scenario or graph")
+		return nil, fmt.Errorf("service: request needs an instance: scenario or graph")
 	}
 
-	if _, weighted := instance.(*mpcgraph.WeightedGraph); !weighted && problem == mpcgraph.ProblemWeightedMatching {
-		return problem, mod, opts, nil, "", fmt.Errorf("%w: %s", mpcgraph.ErrNeedWeightedGraph, problem)
-	}
-
-	opts = mpcgraph.Options{
+	r.opts = mpcgraph.Options{
 		Seed:         req.Options.Seed,
 		Eps:          req.Options.Eps,
 		MemoryFactor: req.Options.MemoryFactor,
@@ -146,33 +157,34 @@ func (req *JobRequest) resolve(cfg Config) (mpcgraph.Problem, mpcgraph.Model, mp
 		Workers:      req.Options.Workers,
 		Model:        mod,
 	}
-	if opts.Workers == 0 {
-		opts.Workers = cfg.DefaultJobWorkers
+	if r.opts.Workers == 0 {
+		r.opts.Workers = cfg.DefaultJobWorkers
 	}
-	return problem, mod, opts, instance, source, nil
+	return r, nil
 }
 
-// parse materializes an uploaded graph through the graphio layer.
-func (g *GraphRequest) parse() (mpcgraph.Instance, error) {
-	if g.Format == "" {
-		return nil, fmt.Errorf("service: graph upload needs a format (one of the graphio format names)")
-	}
-	f, err := graphio.ParseFormat(g.Format)
-	if err != nil {
-		return nil, err
-	}
-	raw := []byte(g.Content)
-	if g.Base64 {
-		raw, err = base64.StdEncoding.DecodeString(g.Content)
+// build materializes the instance: it generates the scenario or parses
+// the upload through the graphio layer.
+func (r *resolvedRequest) build() (mpcgraph.Instance, error) {
+	if r.scenario != nil {
+		in, err := r.scenario.Generate()
 		if err != nil {
-			return nil, fmt.Errorf("service: graph content is not valid base64: %v", err)
+			return nil, err
 		}
+		if in.WG != nil {
+			return in.WG, nil
+		}
+		return in.G, nil
 	}
-	r, err := graphio.NewReader(bytes.NewReader(raw))
+	var body io.Reader = strings.NewReader(r.text)
+	if r.raw != nil {
+		body = bytes.NewReader(r.raw)
+	}
+	rd, err := graphio.NewReader(body)
 	if err != nil {
 		return nil, err
 	}
-	d, err := graphio.Read(r, f)
+	d, err := graphio.Read(rd, r.format)
 	if err != nil {
 		return nil, err
 	}
@@ -180,6 +192,35 @@ func (g *GraphRequest) parse() (mpcgraph.Instance, error) {
 		return d.WG, nil
 	}
 	return d.G, nil
+}
+
+// source describes the instance origin for job views.
+func (r *resolvedRequest) source(info instanceInfo) string {
+	if r.scenario != nil {
+		return fmt.Sprintf("scenario %s (n=%d seed=%d)", r.scenario.Scenario.Name, info.n, r.scenario.Seed)
+	}
+	return fmt.Sprintf("upload (%s, n=%d m=%d)", r.format, info.n, info.m)
+}
+
+// decode validates an upload's format and installs it and the upload's
+// bytes on r.
+func (g *GraphRequest) decode(r *resolvedRequest) error {
+	if g.Format == "" {
+		return fmt.Errorf("service: graph upload needs a format (one of the graphio format names)")
+	}
+	f, err := graphio.ParseFormat(g.Format)
+	if err != nil {
+		return err
+	}
+	r.format = f
+	if !g.Base64 {
+		r.text = g.Content
+		return nil
+	}
+	if r.raw, err = base64.StdEncoding.DecodeString(g.Content); err != nil {
+		return fmt.Errorf("service: graph content is not valid base64: %v", err)
+	}
+	return nil
 }
 
 // requestErrorStatus maps resolution failures onto HTTP statuses,
@@ -309,13 +350,14 @@ func countTrue(set []bool) int {
 	return n
 }
 
-// reportView renders rep for the wire.
-func reportView(rep *mpcgraph.Report, in mpcgraph.Instance) *ReportView {
+// reportView renders rep, solved on an instance with n vertices and m
+// edges, for the wire.
+func reportView(rep *mpcgraph.Report, n, m int) *ReportView {
 	out := &ReportView{
 		Problem:         rep.Problem.String(),
 		Model:           rep.Model.String(),
-		N:               in.NumVertices(),
-		M:               in.NumEdges(),
+		N:               n,
+		M:               m,
 		SolutionHash:    fmt.Sprintf("%016x", solutionHash(rep)),
 		Rounds:          rep.Rounds,
 		Phases:          rep.Phases,
@@ -376,7 +418,7 @@ func (j *Job) view() *JobView {
 		v.FinishedAt = j.finished.UTC().Format("2006-01-02T15:04:05.000Z")
 	}
 	if j.report != nil {
-		v.Report = reportView(j.report, j.instance)
+		v.Report = reportView(j.report, j.n, j.m)
 	}
 	return v
 }

@@ -250,14 +250,14 @@ func batchErrorStatus(err error) int {
 }
 
 // Batch is one POST /v1/batches expansion: the member records plus the
-// feeder's dedup accounting. specs and jobs are immutable after
-// creation; everything else is guarded by mu.
+// feeder's dedup accounting. jobs is immutable after creation;
+// everything else is guarded by mu. The member requests live only in
+// the feeder, which drops each once it is placed.
 type Batch struct {
 	ID string
 
 	created time.Time
-	specs   []batchSpec
-	jobs    []*Job // member records, same order as specs
+	jobs    []*Job // member records, in expansion order
 	// tel records the settle-time histogram when the last member turns
 	// terminal; lg is the batch-correlated logger. Set before the batch
 	// is visible; both tolerate a zero-telemetry test server.
@@ -456,7 +456,6 @@ func (s *Server) submitBatch(req *BatchRequest) (*Batch, int, error) {
 	b := &Batch{
 		ID:      fmt.Sprintf("b%06d", s.nextBatchID),
 		created: time.Now(),
-		specs:   specs,
 		jobs:    make([]*Job, len(specs)),
 		changed: make(chan struct{}),
 		tel:     s.tel,
@@ -491,17 +490,21 @@ func (s *Server) submitBatch(req *BatchRequest) (*Batch, int, error) {
 		job.armDeadline()
 	}
 	b.lg.Info(context.Background(), "batch.submit", obs.F("jobs", len(b.jobs)))
-	go s.feedBatch(b)
+	go s.feedBatch(b, specs)
 	return b, 0, nil
 }
 
 // feedBatch is the batch's feeder goroutine: it resolves each member
 // and runs it through the dedup ladder, blocking on a full queue. A
 // drain cancels the unfed remainder; so does DELETE on the batch.
-func (s *Server) feedBatch(b *Batch) {
+// specs[i] is member i's request; the feeder clears it once the member
+// is placed, so a settled member holds no request body.
+func (s *Server) feedBatch(b *Batch, specs []batchSpec) {
 	defer s.feeders.Done()
-	seen := make(map[string]bool, len(b.specs))
-	for i, spec := range b.specs {
+	seen := make(map[string]bool, len(specs))
+	for i := range specs {
+		req := specs[i].req
+		specs[i] = batchSpec{}
 		job := b.jobs[i]
 		if job.terminal() {
 			continue // a deadline or client cancel landed before feeding
@@ -517,11 +520,7 @@ func (s *Server) feedBatch(b *Batch) {
 		default:
 		}
 
-		problem, model, opts, instance, source, err := spec.req.resolve(s.cfg)
-		var key string
-		if err == nil {
-			key, err = CacheKey(instance, problem, model, opts)
-		}
+		a, err := s.admit(req)
 		if err != nil {
 			b.mu.Lock()
 			b.resolved++
@@ -530,11 +529,11 @@ func (s *Server) feedBatch(b *Batch) {
 			job.fail(err)
 			continue
 		}
-		job.setResolved(problem, model, opts, instance, source, key)
+		job.setResolved(a)
 		b.mu.Lock()
 		b.resolved++
-		if !seen[key] {
-			seen[key] = true
+		if !seen[a.key] {
+			seen[a.key] = true
 			b.uniqueKeys++
 		}
 		b.mu.Unlock()
@@ -556,6 +555,10 @@ func (s *Server) feedBatch(b *Batch) {
 		if settled {
 			continue
 		}
+		in, ok := s.leaderInstance(a, f)
+		if !ok {
+			continue
+		}
 
 		// The blocking enqueue: the batch was admitted as a whole, so its
 		// leaders wait for queue slots instead of bouncing with 429. quit
@@ -563,31 +566,19 @@ func (s *Server) feedBatch(b *Batch) {
 		// stamp lands before the send so the worker's dequeued stamp can
 		// never precede it.
 		job.stampQueued()
+		job.instance = in
 		select {
 		case s.queue <- job:
 			b.mu.Lock()
 			b.enqueued++
 			b.mu.Unlock()
 		case <-s.quit:
+			job.instance = nil
 			for _, r := range s.dropFlight(f) {
 				r.cancelJob("server draining")
 			}
 		}
 	}
-}
-
-// setResolved installs the resolved request fields on a batch member.
-// Single-job submissions set these before the record is visible; a
-// batch member is visible from creation, so the write synchronizes
-// with view() via j.mu. The worker reads them lock-free, ordered by
-// the queue send that follows this call.
-func (j *Job) setResolved(problem mpcgraph.Problem, model mpcgraph.Model, opts mpcgraph.Options,
-	instance mpcgraph.Instance, source, key string) {
-	j.mu.Lock()
-	j.problem, j.model, j.opts = problem, model, opts
-	j.instance, j.source = instance, source
-	j.cacheKey = key
-	j.mu.Unlock()
 }
 
 // lookupBatch returns the batch by id.

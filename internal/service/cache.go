@@ -7,73 +7,77 @@ import (
 	"mpcgraph"
 )
 
-// resultCache is the deterministic result cache: an LRU map from
-// content-addressed cache key (see CacheKey) to the completed *Report.
-// Reports are treated as immutable once stored — every consumer of a
-// Report (the job views, the solution renderer, the trace endpoint)
-// only reads it, so a cache hit can hand out the same pointer and still
-// be bit-identical to the cold run that produced it.
-type resultCache struct {
+// lru is a bounded least-recently-used map from string keys to
+// immutable values, with hit, miss and eviction counters. It backs the
+// deterministic result cache (content-addressed cache key to completed
+// *Report, see CacheKey) and the resolve memo (instance spec to
+// instanceInfo, see memo.go). Values are treated as immutable once
+// stored — every consumer of a cached Report (the job views, the
+// solution renderer, the trace endpoint) only reads it, so a cache hit
+// can hand out the same pointer and still be bit-identical to the cold
+// run that produced it.
+type lru[V any] struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
+	order   *list.List // front = most recently used
 
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
-type cacheEntry struct {
+type lruEntry[V any] struct {
 	key string
-	rep *mpcgraph.Report
+	val V
 }
 
-// newResultCache builds a cache bounded to capEntries entries;
-// capEntries < 0 disables caching entirely (every Get misses, Put is a
-// no-op — the daemon then recomputes every job).
-func newResultCache(capEntries int) *resultCache {
-	return &resultCache{
+// newLRU builds a map bounded to capEntries entries; capEntries < 0
+// disables it entirely (every Get misses, Put is a no-op — the daemon
+// then recomputes every job).
+func newLRU[V any](capEntries int) *lru[V] {
+	return &lru[V]{
 		cap:     capEntries,
 		entries: make(map[string]*list.Element),
-		lru:     list.New(),
+		order:   list.New(),
 	}
 }
 
-// Get returns the cached Report for key, updating recency and the
+// Get returns the value stored under key, updating recency and the
 // hit/miss counters.
-func (c *resultCache) Get(key string) (*mpcgraph.Report, bool) {
+func (c *lru[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).rep, true
+	c.order.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// Put stores rep under key, evicting the least recently used entries
+// Put stores val under key, evicting the least recently used entries
 // beyond capacity.
-func (c *resultCache) Put(key string, rep *mpcgraph.Report) {
+func (c *lru[V]) Put(key string, val V) {
 	if c.cap < 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		// Determinism makes any two Reports under one key bit-identical;
+		// Determinism makes any two values under one key bit-identical;
 		// keep the first and just refresh recency.
-		c.lru.MoveToFront(el)
+		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, rep: rep})
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
+	for c.order.Len() > c.cap {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*lruEntry[V]).key)
 		c.evictions++
 	}
 }
@@ -87,11 +91,11 @@ type cacheStats struct {
 	Evictions uint64
 }
 
-func (c *resultCache) Stats() cacheStats {
+func (c *lru[V]) Stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return cacheStats{
-		Entries:   c.lru.Len(),
+		Entries:   c.order.Len(),
 		Capacity:  c.cap,
 		Hits:      c.hits,
 		Misses:    c.misses,
@@ -116,12 +120,12 @@ const (
 
 // tieredCache layers the in-memory LRU (L1) over the persistent disk
 // store (L2, optional). Both tiers are content-addressed by the same
-// mpcgraph-key-v1 digest and hold bit-identical Reports — L1 trades
+// cache key (see CacheKey) and hold bit-identical Reports — L1 trades
 // capacity for latency, L2 survives restarts — so a Get may be served
 // from either tier with full fidelity. Disk hits are promoted into
 // memory; puts write through to both tiers.
 type tieredCache struct {
-	mem  *resultCache
+	mem  *lru[*mpcgraph.Report]
 	disk *diskStore // nil when the persistent tier is disabled
 }
 

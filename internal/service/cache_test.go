@@ -14,7 +14,7 @@ func dummyReport(i int) *mpcgraph.Report {
 // TestResultCacheLRU pins the eviction order, the recency update on Get,
 // and the stats counters.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
+	c := newLRU[*mpcgraph.Report](2)
 	c.Put("a", dummyReport(1))
 	c.Put("b", dummyReport(2))
 	if _, ok := c.Get("a"); !ok { // refresh a: b is now the LRU entry
@@ -49,7 +49,7 @@ func TestResultCacheLRU(t *testing.T) {
 
 // TestResultCacheDisabled: a negative capacity disables caching.
 func TestResultCacheDisabled(t *testing.T) {
-	c := newResultCache(-1)
+	c := newLRU[*mpcgraph.Report](-1)
 	c.Put("a", dummyReport(1))
 	if _, ok := c.Get("a"); ok {
 		t.Error("disabled cache stored an entry")
@@ -62,7 +62,7 @@ func TestResultCacheDisabled(t *testing.T) {
 // TestResultCacheBounded: the cache never exceeds its capacity under a
 // key churn far beyond it.
 func TestResultCacheBounded(t *testing.T) {
-	c := newResultCache(8)
+	c := newLRU[*mpcgraph.Report](8)
 	for i := 0; i < 100; i++ {
 		c.Put(fmt.Sprintf("k%d", i), dummyReport(i))
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 
 	"mpcgraph"
@@ -27,64 +26,82 @@ import (
 //     generated in-process from a scenario or round-tripped through any
 //     on-disk format (pinned by digest_test.go, extending the
 //     solvefile_test.go contract).
+//
+// The key hashes the instance digest rather than the instance bytes, so
+// a request whose digest the resolve memo remembers (memo.go) is keyed
+// without its graph.
 
 // instanceDigestVersion tags the canonical byte layout; bump it if the
 // layout ever changes so stale keys cannot alias fresh ones.
 const instanceDigestVersion = "mpcgraph-instance-v1"
 
-// cacheKeyVersion tags the option serialization.
-const cacheKeyVersion = "mpcgraph-key-v1"
+// cacheKeyVersion tags the key layout: v2 hashes the hex instance
+// digest where v1 hashed the canonical instance bytes.
+const cacheKeyVersion = "mpcgraph-key-v2"
+
+// digestBufSize is the slab the canonical bytes stream through: large
+// enough that the per-Write cost of the hash vanishes, small enough to
+// stay in cache.
+const digestBufSize = 64 << 10
 
 // InstanceDigest returns the hex SHA-256 of the canonical byte
 // rendering of in: the version tag, weightedness, n, m, then every
 // undirected edge (u < v, lexicographic order) as little-endian int32
 // pairs, each followed by its exact float64 weight bits when the
-// instance is weighted.
+// instance is weighted. The bytes stream into the hash through one
+// reused slab.
 func InstanceDigest(in mpcgraph.Instance) (string, error) {
-	h := sha256.New()
-	if err := writeInstance(h, in); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-func writeInstance(h hash.Hash, in mpcgraph.Instance) error {
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writePair := func(u, v int32) {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(u))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(v))
-		h.Write(buf[:])
-	}
-	h.Write([]byte(instanceDigestVersion))
-	switch g := in.(type) {
+	var (
+		g *mpcgraph.Graph
+		w []float64 // edge weights in ForEachEdge order; nil when unweighted
+	)
+	switch x := in.(type) {
 	case *mpcgraph.WeightedGraph:
-		if g == nil {
-			return fmt.Errorf("service: digest of nil instance")
+		if x == nil {
+			return "", fmt.Errorf("service: digest of nil instance")
 		}
-		h.Write([]byte("weighted"))
-		writeU64(uint64(g.NumVertices()))
-		writeU64(uint64(g.NumEdges()))
-		g.ForEachEdge(func(u, v int32) {
-			writePair(u, v)
-			writeU64(math.Float64bits(g.EdgeWeight(u, v)))
-		})
-		return nil
+		g, w = x.Graph, x.W
 	case *mpcgraph.Graph:
-		if g == nil {
-			return fmt.Errorf("service: digest of nil instance")
+		if x == nil {
+			return "", fmt.Errorf("service: digest of nil instance")
 		}
-		h.Write([]byte("unweighted"))
-		writeU64(uint64(g.NumVertices()))
-		writeU64(uint64(g.NumEdges()))
-		g.ForEachEdge(writePair)
-		return nil
+		g = x
 	default:
-		return fmt.Errorf("service: digest of unsupported instance type %T", in)
+		return "", fmt.Errorf("service: digest of unsupported instance type %T", in)
 	}
+
+	h := sha256.New()
+	buf := make([]byte, 0, digestBufSize)
+	buf = append(buf, instanceDigestVersion...)
+	if w != nil {
+		buf = append(buf, "weighted"...)
+	} else {
+		buf = append(buf, "unweighted"...)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumVertices()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumEdges()))
+	// The edge index numbers edges in exactly this (u, v) order, so the
+	// k-th edge's weight is w[k].
+	k := 0
+	for u := int32(0); u < int32(g.NumVertices()); u++ {
+		for _, v := range g.Neighbors(u) {
+			if v <= u {
+				continue
+			}
+			if len(buf)+16 > cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+			if w != nil {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w[k]))
+				k++
+			}
+		}
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // canonicalOptions are the solve options that determine a Report
@@ -116,16 +133,24 @@ func canonicalize(opts mpcgraph.Options) canonicalOptions {
 }
 
 // CacheKey returns the content-addressed cache key of one solve: the
-// hex SHA-256 over the canonical instance bytes, the (problem, model)
-// pair, and the canonicalized Workers-invariant options.
+// hex SHA-256 over the instance digest (see InstanceDigest), the
+// (problem, model) pair, and the canonicalized Workers-invariant
+// options.
 func CacheKey(in mpcgraph.Instance, p mpcgraph.Problem, m mpcgraph.Model, opts mpcgraph.Options) (string, error) {
-	h := sha256.New()
-	h.Write([]byte(cacheKeyVersion))
-	if err := writeInstance(h, in); err != nil {
+	digest, err := InstanceDigest(in)
+	if err != nil {
 		return "", err
 	}
+	return cacheKey(digest, p, m, opts), nil
+}
+
+// cacheKey is CacheKey from an instance digest.
+func cacheKey(digest string, p mpcgraph.Problem, m mpcgraph.Model, opts mpcgraph.Options) string {
+	h := sha256.New()
+	h.Write([]byte(cacheKeyVersion))
+	h.Write([]byte(digest))
 	c := canonicalize(opts)
 	fmt.Fprintf(h, "|%s|%s|seed=%d|eps=%x|mem=%x|strict=%t",
 		p, m, c.Seed, math.Float64bits(c.Eps), math.Float64bits(c.MemoryFactor), c.Strict)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }

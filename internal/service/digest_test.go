@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpcgraph"
+	"mpcgraph/internal/raceflag"
 )
 
 // Cache-key determinism (the service-cache acceptance criterion,
@@ -151,5 +152,57 @@ func TestCacheKeyInvariants(t *testing.T) {
 			}
 		}
 		distinct[field] = got
+	}
+}
+
+// TestInstanceDigestPinned pins the canonical bytes: the hex digests of
+// one small unweighted and one small weighted catalog instance. Cache
+// keys on disk outlive the code that wrote them, so a refactor of the
+// digest must not move these.
+func TestInstanceDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		scenario string
+		want     string
+	}{
+		{"gnp", "fb4bc07c6e6094cef3e86b95c2938caf2cc40a702c6dc04669f9aad7f8a01d4f"},
+		{"weighted-gnp", "7e7564a8dfacf782fe18b125120dea85fe6047f1b52f8fddd64490617e9a8d2f"},
+	} {
+		in, err := mpcgraph.GenerateScenario(tc.scenario, 200, 31, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := InstanceDigest(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s n=200 seed=31: digest %s, pinned %s", tc.scenario, got, tc.want)
+		}
+	}
+}
+
+// TestInstanceDigestAllocsCeiling pins the digest to a constant number
+// of allocations — the hash state, the one 64 KiB slab the canonical
+// bytes stream through, and the hex result — independent of the edge
+// count. Skipped under race: the race runtime allocates on its own
+// behalf.
+func TestInstanceDigestAllocsCeiling(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race runtime")
+	}
+	for _, name := range []string{"gnp", "weighted-gnp"} {
+		in, err := mpcgraph.GenerateScenario(name, 1<<12, 7, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := InstanceDigest(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const ceiling = 8
+		if allocs > ceiling {
+			t.Errorf("InstanceDigest(%s): %.0f allocs/op, ceiling %d", name, allocs, ceiling)
+		}
 	}
 }

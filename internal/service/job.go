@@ -46,11 +46,16 @@ type Job struct {
 	problem  mpcgraph.Problem
 	model    mpcgraph.Model
 	opts     mpcgraph.Options
-	instance mpcgraph.Instance
+	n, m     int    // instance size, for the job view
 	source   string // human-readable instance origin for the job view
 	timeout  time.Duration
 	noCache  bool
 	cacheKey string
+
+	// instance is the graph a flight leader solves. It is set just
+	// before the leader's queue send and taken by run, which drops it
+	// when Solve returns; no other job ever holds one.
+	instance mpcgraph.Instance
 
 	// flight is the computation this job rides (its own, as leader, or
 	// another job's, as follower). Nil for jobs completed from cache at
@@ -389,6 +394,8 @@ func (j *Job) notifyTerminal() {
 // of coalescing.
 func (j *Job) run(s *Server) {
 	f := j.flight
+	in := j.instance
+	j.instance = nil
 	if f == nil || f.ctx.Err() != nil {
 		// Every rider canceled while the leader sat in the queue (or the
 		// job predates its flight — impossible by construction). The
@@ -442,7 +449,7 @@ func (j *Job) run(s *Server) {
 			obs.F("model", j.model.String()),
 			obs.F("source", j.source))
 		solveStart := time.Now()
-		rep, err = mpcgraph.Solve(f.ctx, j.instance, j.problem, opts)
+		rep, err = mpcgraph.Solve(f.ctx, in, j.problem, opts)
 		elapsed := time.Since(solveStart)
 		j.tel.solve.With(j.problem.String(), j.model.String()).Observe(elapsed)
 		j.lg.Info(f.ctx, "job.solve.done",
@@ -585,18 +592,58 @@ func (s *Server) place(job *Job) (*flight, placement) {
 	return f, placeEnqueue
 }
 
+// admission is a request resolved for placement: the validated request,
+// its instance record and cache key, and the instance itself when
+// resolution had to build it (nil after a memo hit).
+type admission struct {
+	*resolvedRequest
+	info instanceInfo
+	key  string
+	in   mpcgraph.Instance
+}
+
+// admit resolves req through the resolve memo and keys it. Like
+// resolve, it fails with the request's original error on every path.
+func (s *Server) admit(req *JobRequest) (*admission, error) {
+	r, err := req.resolve(s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	info, in, err := s.resolveInstance(r, req.NoCache)
+	if err != nil {
+		return nil, err
+	}
+	if !info.weighted && r.problem == mpcgraph.ProblemWeightedMatching {
+		return nil, fmt.Errorf("%w: %s", mpcgraph.ErrNeedWeightedGraph, r.problem)
+	}
+	return &admission{resolvedRequest: r, info: info, key: cacheKey(info.digest, r.problem, r.model, r.opts), in: in}, nil
+}
+
+// leaderInstance returns the graph a new flight's leader solves: the
+// one admission built, or a fresh build after a memo hit. On failure it
+// fails every rider of f.
+func (s *Server) leaderInstance(a *admission, f *flight) (mpcgraph.Instance, bool) {
+	if a.in != nil {
+		return a.in, true
+	}
+	in, err := a.build()
+	if err != nil {
+		for _, r := range s.dropFlight(f) {
+			r.fail(err)
+		}
+		return nil, false
+	}
+	return in, true
+}
+
 // submit resolves a request into a Job, serves it from cache when
 // possible, coalesces it onto an identical in-flight computation, or
 // admits it to the queue as a new flight's leader. It returns the job
 // and an HTTP status hint for failures (0 on success).
 func (s *Server) submit(req *JobRequest) (*Job, int, error) {
-	problem, model, opts, instance, source, err := req.resolve(s.cfg)
+	a, err := s.admit(req)
 	if err != nil {
 		return nil, requestErrorStatus(err), err
-	}
-	key, err := CacheKey(instance, problem, model, opts)
-	if err != nil {
-		return nil, 400, err
 	}
 
 	s.mu.Lock()
@@ -606,24 +653,26 @@ func (s *Server) submit(req *JobRequest) (*Job, int, error) {
 	}
 	s.nextID++
 	job := newJob(fmt.Sprintf("j%08d", s.nextID), s.tel)
-	job.problem, job.model, job.opts = problem, model, opts
-	job.instance, job.source = instance, source
+	job.setResolved(a)
 	job.timeout = time.Duration(req.TimeoutMs) * time.Millisecond
 	job.noCache = req.NoCache
-	job.cacheKey = key
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.evictTerminalLocked()
 	s.mu.Unlock()
 
 	job.lg.Info(context.Background(), "job.submit",
-		obs.F("problem", problem.String()),
-		obs.F("model", model.String()),
-		obs.F("source", source),
-		obs.F("key", key))
+		obs.F("problem", job.problem.String()),
+		obs.F("model", job.model.String()),
+		obs.F("source", job.source),
+		obs.F("key", job.cacheKey))
 
 	f, p := s.place(job)
 	if p != placeEnqueue {
+		return job, 0, nil
+	}
+	in, ok := s.leaderInstance(a, f)
+	if !ok {
 		return job, 0, nil
 	}
 
@@ -641,12 +690,14 @@ func (s *Server) submit(req *JobRequest) (*Job, int, error) {
 	// Stamped before the send: a worker may dequeue the instant the
 	// send lands, and the dequeued stamp must never precede queued.
 	job.stampQueued()
+	job.instance = in
 	select {
 	case s.queue <- job:
 		s.mu.Unlock()
 		job.lg.Debug(context.Background(), "job.queued")
 		return job, 0, nil
 	default:
+		job.instance = nil
 		s.mu.Unlock()
 		// Admission control: the queue is full. The riders are retained
 		// as canceled so the clients can inspect the rejection.
@@ -655,6 +706,19 @@ func (s *Server) submit(req *JobRequest) (*Job, int, error) {
 		}
 		return job, 429, fmt.Errorf("service: job queue full (depth %d)", s.cfg.QueueDepth)
 	}
+}
+
+// setResolved installs an admission's fields on a job record. A batch
+// member is visible from creation, so the write synchronizes with
+// view() via j.mu; the worker reads the fields lock-free, ordered by
+// the queue send that follows.
+func (j *Job) setResolved(a *admission) {
+	j.mu.Lock()
+	j.problem, j.model, j.opts = a.problem, a.model, a.opts
+	j.n, j.m = a.info.n, a.info.m
+	j.source = a.source(a.info)
+	j.cacheKey = a.key
+	j.mu.Unlock()
 }
 
 // lookup returns the job by id.

@@ -62,6 +62,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	queued, inflight := s.snapshotCounts()
 	mem := s.cache.mem.Stats()
+	memo := s.memo.Stats()
 	var disk diskStats
 	if s.cache.disk != nil {
 		disk = s.cache.disk.Stats()
@@ -165,6 +166,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP mpcgraphd_cache_disk_quarantined_total Damaged disk entries moved aside instead of served.\n")
 	p("# TYPE mpcgraphd_cache_disk_quarantined_total counter\n")
 	p("mpcgraphd_cache_disk_quarantined_total %d\n", disk.Quarantined)
+	p("# HELP mpcgraphd_resolve_memo_total Resolve-memo lookups by result; a hit keys the request without building or hashing its instance.\n")
+	p("# TYPE mpcgraphd_resolve_memo_total counter\n")
+	p("mpcgraphd_resolve_memo_total{result=\"hit\"} %d\n", memo.Hits)
+	p("mpcgraphd_resolve_memo_total{result=\"miss\"} %d\n", memo.Misses)
 	p("# HELP mpcgraphd_workers Solve workers draining the queue.\n")
 	p("# TYPE mpcgraphd_workers gauge\n")
 	p("mpcgraphd_workers %d\n", s.cfg.Workers)

@@ -21,9 +21,11 @@
 //     persistent disk store (L2, -cache-dir) that writes entries
 //     atomically and survives crashes — a restarted daemon serves
 //     previously computed results without recomputation (store.go,
-//     codec.go). The same determinism argument powers single-flight
-//     coalescing: concurrent submissions of one cache key share one
-//     computation (flight.go);
+//     codec.go). A resolve memo maps each request's instance spec to
+//     the instance digest, so a repeated request is keyed without
+//     rebuilding or re-hashing its graph (memo.go). The same
+//     determinism argument powers single-flight coalescing: concurrent
+//     submissions of one cache key share one computation (flight.go);
 //   - job lifecycle and operational endpoints: submit, poll, cancel,
 //     list, per-round TraceEvent streaming as NDJSON or SSE, /healthz,
 //     and Prometheus-style /metrics (queue depth, in-flight gauge,
@@ -45,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"mpcgraph"
 	"mpcgraph/internal/obs"
 )
 
@@ -61,8 +64,9 @@ type Config struct {
 	// running) jobs (default 64). A full queue rejects submissions with
 	// HTTP 429 rather than buffering without bound.
 	QueueDepth int
-	// CacheEntries bounds the result cache (default 1024 entries; < 0
-	// disables caching).
+	// CacheEntries bounds the memory tier of the result cache and,
+	// separately, the resolve memo (default 1024 entries each; < 0
+	// disables both).
 	CacheEntries int
 	// MaxJobsRetained bounds the number of finished jobs kept for
 	// GET /v1/jobs inspection (default 4096). The oldest terminal jobs
@@ -134,6 +138,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	cache *tieredCache
+	memo  *lru[instanceInfo] // resolve memo: instance spec -> instance record (memo.go)
 	fp    *failpoints
 	tel   *telemetry
 	start time.Time
@@ -200,7 +205,8 @@ func build(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:     cfg,
-		cache:   &tieredCache{mem: newResultCache(cfg.CacheEntries), disk: disk},
+		cache:   &tieredCache{mem: newLRU[*mpcgraph.Report](cfg.CacheEntries), disk: disk},
+		memo:    newLRU[instanceInfo](cfg.CacheEntries),
 		fp:      fp,
 		tel:     tel,
 		start:   time.Now(),

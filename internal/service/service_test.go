@@ -709,6 +709,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"mpcgraphd_solves_total 1",
 		"mpcgraphd_coalesced_total 0",
 		`mpcgraphd_jobs{state="done"} 2`,
+		`mpcgraphd_resolve_memo_total{result="hit"} 1`,
+		`mpcgraphd_resolve_memo_total{result="miss"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)

@@ -12,7 +12,7 @@ import (
 )
 
 // diskStore is the persistent tier (L2) of the result cache: one file
-// per mpcgraph-key-v1 digest under the -cache-dir root, holding the
+// per cache key (see CacheKey) under the -cache-dir root, holding the
 // versioned canonical Report serialization of codec.go. Writes are
 // atomic — temp file, fsync, rename — so a crash at any instant leaves
 // either the complete previous state or the complete new entry, never

@@ -294,7 +294,7 @@ func TestTieredCacheRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &tieredCache{mem: newResultCache(2), disk: disk}
+	c := &tieredCache{mem: newLRU[*mpcgraph.Report](2), disk: disk}
 	rep := solveReport(t, mpcgraph.ProblemMIS, 120, 1)
 	keys := make([]string, 8)
 	for i := range keys {

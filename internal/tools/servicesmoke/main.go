@@ -7,8 +7,9 @@
 // report, round-trips the same jobs once more as one POST /v1/batches
 // (server-side dedup must serve every member from the memory cache
 // tier with zero new solves, and the NDJSON stream must replay every
-// completion), then sends SIGTERM and requires a clean graceful exit.
-// Finally it boots a second, deliberately saturated daemon (one
+// completion), then sends SIGTERM and requires a clean graceful exit,
+// as it does of fresh daemons signaled the moment their listen line
+// appears. Finally it boots a deliberately saturated daemon (one
 // stalled worker, queue depth 1) and verifies the backpressure
 // convention: overload produces HTTP 429 with a Retry-After header.
 // It exercises exactly the production path: the shipped binary, a real
@@ -204,6 +205,18 @@ func run(bin string) error {
 	}
 
 	// Graceful drain: SIGTERM must produce a zero exit.
+	if err := terminate(cmd); err != nil {
+		return err
+	}
+	if err := checkStartupSigterm(bin); err != nil {
+		return err
+	}
+	return checkBackpressure(bin)
+}
+
+// terminate sends SIGTERM and requires a graceful drain: exit 0 within
+// 60s.
+func terminate(cmd *exec.Cmd) error {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		return err
 	}
@@ -218,8 +231,25 @@ func run(bin string) error {
 		_ = cmd.Process.Kill()
 		return fmt.Errorf("daemon did not drain within 60s of SIGTERM")
 	}
+	return nil
+}
 
-	return checkBackpressure(bin)
+// checkStartupSigterm SIGTERMs fresh daemons the moment their listen
+// line appears. The signal handler must already be installed by then,
+// so each daemon drains and exits 0 instead of dying of the signal.
+func checkStartupSigterm(bin string) error {
+	const boots = 5
+	for i := 0; i < boots; i++ {
+		_, cmd, err := startDaemon(bin, nil)
+		if err != nil {
+			return err
+		}
+		if err := terminate(cmd); err != nil {
+			return fmt.Errorf("SIGTERM at startup (boot %d): %w", i+1, err)
+		}
+	}
+	fmt.Printf("  startup: SIGTERM on the listen line drains (%d boots)\n", boots)
+	return nil
 }
 
 // checkBatch round-trips POST /v1/batches on the production binary:
