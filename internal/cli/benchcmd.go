@@ -32,6 +32,11 @@ func runBench(args []string, env Env) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
+	if *trials < 0 {
+		// Every experiment loops over trials; a negative count would run
+		// none and print vacuous rows.
+		return fmt.Errorf("-trials must be >= 0 (0 selects the default), got %d", *trials)
+	}
 	cfg := bench.Config{Seed: *seed, Trials: *trials, Quick: *quick, Workers: *workers}
 	if *remote != "" {
 		cfg.Solver = remoteSolver(*remote, 8, 2*time.Minute)

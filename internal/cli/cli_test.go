@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpcgraph/internal/bench"
 	"mpcgraph/internal/graphio"
 	"mpcgraph/internal/registry"
 	"mpcgraph/internal/scenario"
@@ -42,8 +43,10 @@ func TestListEnumeratesEveryRegistry(t *testing.T) {
 			t.Errorf("list missing format %s", f)
 		}
 	}
-	if !strings.Contains(text, "E18") {
-		t.Error("list missing experiment index")
+	for _, id := range bench.IDs() {
+		if !strings.Contains(text, "  "+id+"\n") {
+			t.Errorf("list missing experiment %s", id)
+		}
 	}
 }
 
@@ -165,9 +168,23 @@ func TestSolveTraceStreams(t *testing.T) {
 }
 
 func TestBenchSubcommand(t *testing.T) {
-	env, _, _ := testEnv("")
-	if err := Run([]string{"bench", "-experiment", "E3", "-quick", "-trials", "1"}, env); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		args   []string
+		tables []string
+	}{
+		{[]string{"-experiment", "E3", "-quick", "-trials", "1"}, []string{"E3:"}},
+		{[]string{"-experiment", "E3, E17", "-quick", "-trials", "1"}, []string{"E3:", "E17:"}},
+		{[]string{"-experiment", "E3", "-quick", "-trials", "1", "-workers", "1"}, []string{"E3:"}},
+	} {
+		env, out, _ := testEnv("")
+		if err := Run(append([]string{"bench"}, tc.args...), env); err != nil {
+			t.Fatalf("bench %q: %v", tc.args, err)
+		}
+		for _, table := range tc.tables {
+			if !strings.Contains(out.String(), table) {
+				t.Errorf("bench %q: table %s missing:\n%s", tc.args, table, out.String())
+			}
+		}
 	}
 	env2, out, _ := testEnv("")
 	if err := Run([]string{"bench", "-experiment", "E3", "-quick", "-trials", "1", "-json"}, env2); err != nil {
@@ -216,27 +233,29 @@ func TestWeightedFormatMatrix(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	cases := map[string][]string{
-		"no-command":           {},
-		"unknown-command":      {"frobnicate"},
-		"unknown-problem":      {"solve", "-problem", "tsp", "-scenario", "gnp"},
-		"unknown-model":        {"solve", "-problem", "mis", "-model", "pram", "-scenario", "gnp"},
-		"no-instance":          {"solve", "-problem", "mis"},
-		"both-sources":         {"solve", "-problem", "mis", "-scenario", "gnp", "-in", "x.el"},
-		"stdin-needs-format":   {"solve", "-problem", "mis", "-in", "-"},
-		"weighted-on-plain":    {"solve", "-problem", "weighted-matching", "-scenario", "gnp", "-n", "100"},
-		"unweighted-pair":      {"solve", "-problem", "weighted-matching", "-model", "congested-clique", "-scenario", "weighted-gnp", "-n", "100"},
-		"unknown-scenario":     {"gen", "-scenario", "nope", "-out", "-", "-format", "el"},
-		"gen-missing-out":      {"gen", "-scenario", "gnp"},
-		"gen-stdout-no-format": {"gen", "-scenario", "gnp", "-out", "-"},
-		"gen-weighted-to-el":   {"gen", "-scenario", "weighted-gnp", "-n", "60", "-out", "-", "-format", "el"},
-		"gen-plain-to-wel":     {"gen", "-scenario", "gnp", "-n", "60", "-out", "-", "-format", "wel"},
-		"bad-param":            {"gen", "-scenario", "gnp", "-param", "p", "-out", "-", "-format", "el"},
-		"json-solution-stdout": {"solve", "-problem", "mis", "-scenario", "gnp", "-n", "100", "-json", "-solution", "-"},
-		"unknown-param":        {"gen", "-scenario", "gnp", "-param", "zzz=3", "-out", "-", "-format", "el"},
-		"bad-format":           {"solve", "-problem", "mis", "-in", "-", "-format", "csv"},
-		"positional-junk":      {"solve", "-problem", "mis", "-scenario", "gnp", "extra"},
-		"missing-file":         {"solve", "-problem", "mis", "-in", "/nonexistent/g.el"},
-		"bench-unknown":        {"bench", "-experiment", "E99"},
+		"no-command":            {},
+		"unknown-command":       {"frobnicate"},
+		"unknown-problem":       {"solve", "-problem", "tsp", "-scenario", "gnp"},
+		"unknown-model":         {"solve", "-problem", "mis", "-model", "pram", "-scenario", "gnp"},
+		"no-instance":           {"solve", "-problem", "mis"},
+		"both-sources":          {"solve", "-problem", "mis", "-scenario", "gnp", "-in", "x.el"},
+		"stdin-needs-format":    {"solve", "-problem", "mis", "-in", "-"},
+		"weighted-on-plain":     {"solve", "-problem", "weighted-matching", "-scenario", "gnp", "-n", "100"},
+		"unweighted-pair":       {"solve", "-problem", "weighted-matching", "-model", "congested-clique", "-scenario", "weighted-gnp", "-n", "100"},
+		"unknown-scenario":      {"gen", "-scenario", "nope", "-out", "-", "-format", "el"},
+		"gen-missing-out":       {"gen", "-scenario", "gnp"},
+		"gen-stdout-no-format":  {"gen", "-scenario", "gnp", "-out", "-"},
+		"gen-weighted-to-el":    {"gen", "-scenario", "weighted-gnp", "-n", "60", "-out", "-", "-format", "el"},
+		"gen-plain-to-wel":      {"gen", "-scenario", "gnp", "-n", "60", "-out", "-", "-format", "wel"},
+		"bad-param":             {"gen", "-scenario", "gnp", "-param", "p", "-out", "-", "-format", "el"},
+		"json-solution-stdout":  {"solve", "-problem", "mis", "-scenario", "gnp", "-n", "100", "-json", "-solution", "-"},
+		"unknown-param":         {"gen", "-scenario", "gnp", "-param", "zzz=3", "-out", "-", "-format", "el"},
+		"bad-format":            {"solve", "-problem", "mis", "-in", "-", "-format", "csv"},
+		"positional-junk":       {"solve", "-problem", "mis", "-scenario", "gnp", "extra"},
+		"missing-file":          {"solve", "-problem", "mis", "-in", "/nonexistent/g.el"},
+		"bench-unknown":         {"bench", "-experiment", "E99"},
+		"bench-bad-flag":        {"bench", "-bogus"},
+		"bench-negative-trials": {"bench", "-trials", "-1"},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {
