@@ -9,10 +9,11 @@ import (
 	"mpcgraph/internal/rng"
 )
 
-// referenceBuild is the pre-radix builder (parallel merge sort, sharded
-// counting fill, per-vertex sort fixup), kept verbatim as the parity
+// referenceBuild is the pre-radix builder (stable comparison sort,
+// sharded counting fill, per-vertex sort fixup), kept as the parity
 // oracle: the radix builder must reproduce its CSR bytes exactly, for
-// every worker count.
+// every worker count. sort.SliceStable yields exactly what the
+// pre-radix parallel merge sort yielded at every worker count.
 func referenceBuild(n int, edges [][2]int32, workers int) (*Graph, error) {
 	if n == 0 && len(edges) > 0 {
 		return nil, fmt.Errorf("graph: edges on zero vertices")
@@ -25,11 +26,11 @@ func referenceBuild(n int, edges [][2]int32, workers int) (*Graph, error) {
 		}
 		norm[i] = [2]int32{u, v}
 	}
-	par.Sort(workers, norm, func(x, y [2]int32) bool {
-		if x[0] != y[0] {
-			return x[0] < y[0]
+	sort.SliceStable(norm, func(i, j int) bool {
+		if norm[i][0] != norm[j][0] {
+			return norm[i][0] < norm[j][0]
 		}
-		return x[1] < y[1]
+		return norm[i][1] < norm[j][1]
 	})
 	dedup := norm[:0]
 	for i, e := range norm {

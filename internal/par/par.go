@@ -30,7 +30,6 @@ package par
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -174,77 +173,4 @@ func Collect[T any](workers, n int, body func(lo, hi, w int) []T) []T {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// Sort sorts data with a parallel stable merge sort: shards are
-// stable-sorted concurrently, then neighboring runs merge (preferring
-// the left run on ties) until one remains. The output is identical to
-// sort.SliceStable at every worker count.
-func Sort[T any](workers int, data []T, less func(a, b T) bool) {
-	n := len(data)
-	shards := ShardCount(workers, n)
-	if shards == 1 {
-		sort.SliceStable(data, func(i, j int) bool { return less(data[i], data[j]) })
-		return
-	}
-	// Run boundaries: bounds[w] .. bounds[w+1] is run w.
-	bounds := make([]int, shards+1)
-	for w := 0; w < shards; w++ {
-		lo, _ := shardRange(n, shards, w)
-		bounds[w] = lo
-	}
-	bounds[shards] = n
-	For(workers, n, func(lo, hi, _ int) {
-		part := data[lo:hi]
-		sort.SliceStable(part, func(i, j int) bool { return less(part[i], part[j]) })
-	})
-	// Pairwise merge rounds, alternating between data and a scratch
-	// buffer; each pair merges on its own goroutine.
-	buf := make([]T, n)
-	src, dst := data, buf
-	for len(bounds) > 2 {
-		pairs := (len(bounds) - 1) / 2
-		var wg sync.WaitGroup
-		wg.Add(pairs)
-		for p := 0; p < pairs; p++ {
-			lo, mid, hi := bounds[2*p], bounds[2*p+1], bounds[2*p+2]
-			go func() {
-				defer wg.Done()
-				mergeRuns(src, dst, lo, mid, hi, less)
-			}()
-		}
-		// An odd trailing run is copied through unchanged.
-		if (len(bounds)-1)%2 == 1 {
-			lo, hi := bounds[len(bounds)-2], bounds[len(bounds)-1]
-			copy(dst[lo:hi], src[lo:hi])
-		}
-		wg.Wait()
-		next := make([]int, 0, pairs+2)
-		for i := 0; i < len(bounds); i += 2 {
-			next = append(next, bounds[i])
-		}
-		if next[len(next)-1] != n {
-			next = append(next, n)
-		}
-		bounds = next
-		src, dst = dst, src
-	}
-	if &src[0] != &data[0] {
-		copy(data, src)
-	}
-}
-
-// mergeRuns merges src[lo:mid] and src[mid:hi] into dst[lo:hi], taking
-// from the left run on ties so the merge is stable.
-func mergeRuns[T any](src, dst []T, lo, mid, hi int, less func(a, b T) bool) {
-	i, j := lo, mid
-	for k := lo; k < hi; k++ {
-		if i < mid && (j >= hi || !less(src[j], src[i])) {
-			dst[k] = src[i]
-			i++
-		} else {
-			dst[k] = src[j]
-			j++
-		}
-	}
 }

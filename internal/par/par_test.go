@@ -2,7 +2,6 @@ package par
 
 import (
 	"reflect"
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -128,51 +127,6 @@ func TestCollectMatchesSequentialAppend(t *testing.T) {
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d Collect diverged from sequential append", workers)
-		}
-	}
-}
-
-func TestSortMatchesStableSort(t *testing.T) {
-	src := rng.New(42)
-	for _, n := range []int{0, 1, 63, 64, 1000, 1 << 15} {
-		base := make([][2]int32, n)
-		for i := range base {
-			base[i] = [2]int32{int32(src.Intn(50)), int32(src.Intn(50))}
-		}
-		want := append([][2]int32(nil), base...)
-		sort.SliceStable(want, func(i, j int) bool {
-			if want[i][0] != want[j][0] {
-				return want[i][0] < want[j][0]
-			}
-			return want[i][1] < want[j][1]
-		})
-		for _, workers := range []int{1, 2, 3, 7, 32} {
-			got := append([][2]int32(nil), base...)
-			Sort(workers, got, func(a, b [2]int32) bool {
-				if a[0] != b[0] {
-					return a[0] < b[0]
-				}
-				return a[1] < b[1]
-			})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d workers=%d Sort diverged from sort.SliceStable", n, workers)
-			}
-		}
-	}
-}
-
-func TestSortStability(t *testing.T) {
-	// Pairs with equal keys but distinct payloads must keep input order.
-	type kv struct{ k, payload int }
-	const n = 4 * minParallel
-	data := make([]kv, n)
-	for i := range data {
-		data[i] = kv{k: i % 5, payload: i}
-	}
-	Sort(8, data, func(a, b kv) bool { return a.k < b.k })
-	for i := 1; i < n; i++ {
-		if data[i].k == data[i-1].k && data[i].payload < data[i-1].payload {
-			t.Fatalf("equal keys reordered at %d: %v before %v", i, data[i-1], data[i])
 		}
 	}
 }
