@@ -31,7 +31,7 @@
 #   make tables     - regenerate the experiment tables (text) at quick scale
 #   make json       - machine-readable experiment rows (BENCH_*.json input)
 #   make bench-json - run the smoke sweep with -json and write BENCH_PR10.json
-#   make list-smoke - mpcbench -list + registry/benchmark coverage check
+#   make list-smoke - mpcgraph list + bench -check registry/benchmark coverage
 #   make cli-smoke  - mpcgraph gen|solve pipe, one scenario per problem
 #   make service-smoke - boot mpcgraphd, one job per problem, cache-hit
 #                     bit-identity, metrics, graceful SIGTERM drain,
@@ -106,7 +106,7 @@ bench-smoke:
 # audited costs (BENCH_PR4.json and BENCH_PR9.json are the retained
 # earlier snapshots). Regenerate after any intentional cost change.
 bench-json:
-	$(GO) run ./cmd/mpcbench -quick -trials 1 -json > BENCH_PR10.json
+	$(GO) run ./cmd/mpcgraph bench -quick -trials 1 -json > BENCH_PR10.json
 
 # Short-run fuzz smoke of the structured graph readers, so the strict
 # parse/error grammars of docs/formats.md stay exercised pre-merge
@@ -118,8 +118,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadMatrixMarket -fuzztime=3s ./internal/graphio/
 
 list-smoke:
-	$(GO) run ./cmd/mpcbench -list
-	$(GO) run ./cmd/mpcbench -check
+	$(GO) run ./cmd/mpcgraph list
+	$(GO) run ./cmd/mpcgraph bench -check
 
 # One gen|solve pipe per problem, each through a different scenario and
 # on-disk format, so the whole (catalog, format, registry) surface stays
@@ -181,7 +181,7 @@ docs-check:
 	$(GO) run ./internal/tools/readmecheck README.md docs/service.md
 
 tables:
-	$(GO) run ./cmd/mpcbench -quick -trials 1
+	$(GO) run ./cmd/mpcgraph bench -quick -trials 1
 
 json:
-	$(GO) run ./cmd/mpcbench -quick -trials 1 -json
+	$(GO) run ./cmd/mpcgraph bench -quick -trials 1 -json

@@ -5,8 +5,8 @@ package mpcgraph_test
 //
 //	go test -bench='Experiments/E5$' -benchmem
 //
-// reproduces the corresponding rows. `go run ./cmd/mpcbench` renders the
-// same tables human-readably.
+// reproduces the corresponding rows. `go run ./cmd/mpcgraph bench`
+// renders the same tables human-readably.
 
 import (
 	"io"

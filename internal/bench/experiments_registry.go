@@ -92,8 +92,8 @@ func runRegistrySweep(cfg Config) *Table {
 	return t
 }
 
-// VerifyRegistryCoverage is the CI gate behind `mpcbench -list` and the
-// bench tests: it fails if any registered (Problem, Model) pair is
+// VerifyRegistryCoverage is the CI gate behind `mpcgraph bench -check`
+// and the bench tests: it fails if any registered (Problem, Model) pair is
 // missing from the registry sweep or produced an error/invalid row — a
 // registered algorithm without a working benchmark entry is a wiring
 // bug.

@@ -1,9 +1,9 @@
 // Package bench is the experiment harness: it regenerates, as printed
 // tables, every quantitative claim of the paper (the experiment index
-// E1–E18; run `mpcbench -list` for the index). Each experiment is a pure
-// function of a Config,
-// so `go test -bench` targets and the mpcbench command share one
-// implementation every published table can be reproduced verbatim.
+// E1–E18; run `mpcgraph list` for the index). Each experiment is a pure
+// function of a Config, so `go test -bench` targets and `mpcgraph bench`
+// share one implementation every published table can be reproduced
+// verbatim.
 package bench
 
 import (
@@ -119,7 +119,7 @@ func (t *Table) Render(w io.Writer) {
 }
 
 // RenderJSON writes the table as one JSON object on a single line —
-// the machine-readable form behind mpcbench -json, stable enough for
+// the machine-readable form behind `mpcgraph bench -json`, stable enough for
 // BENCH_*.json trajectories to diff across commits.
 func (t *Table) RenderJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -10,9 +10,8 @@ import (
 	"mpcgraph/internal/registry"
 )
 
-// runBench regenerates the experiment tables through the same harness as
-// the mpcbench command; the flag set mirrors mpcbench so trajectories
-// migrate by replacing "mpcbench" with "mpcgraph bench".
+// runBench regenerates the experiment tables (E1..E18) through the
+// experiment harness, in text or as one JSON object per table.
 func runBench(args []string, env Env) error {
 	fs := flag.NewFlagSet("mpcgraph bench", flag.ContinueOnError)
 	fs.SetOutput(env.Stderr)

@@ -1,7 +1,7 @@
 // Package registry is the dispatch table behind the unified Solve API:
 // it maps a (Problem, Model) pair onto a runner that executes the
 // corresponding algorithm on the corresponding metered simulator and
-// returns one uniform Report. The public mpcgraph package, the mpcbench
+// returns one uniform Report. The public mpcgraph package, the mpcgraph
 // CLI and the experiment harness all enumerate this table, so
 // registering a new algorithm here makes it appear in the API, the CLI
 // listing and the benchmarks with no further wiring — the slot follow-up

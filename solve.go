@@ -81,7 +81,7 @@ type Instance interface {
 }
 
 // Algorithms enumerates every registered (Problem, Model) pair in
-// stable order — the same table the mpcbench CLI and the experiment
+// stable order — the same table `mpcgraph list` and the experiment
 // harness iterate, so new registrations appear everywhere at once.
 func Algorithms() []Algorithm { return registry.Pairs() }
 
