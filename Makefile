@@ -1,10 +1,9 @@
 # Pre-merge check for this repository. `make ci` is the documented gate:
 # it checks formatting, vets every package, runs the full test suite
 # under the race detector (the determinism tests in parallel_test.go
-# double as the parallel-engine oracle; the parity tests in
-# solve_test.go pin the deprecated wrappers to Solve; the round-trip
-# tests in solvefile_test.go pin the file formats to bit-identical
-# reports), smoke-runs the benchmarks, proves the CLIs enumerate the
+# double as the parallel-engine oracle; the round-trip tests in
+# solvefile_test.go pin the file formats to bit-identical reports),
+# smoke-runs the benchmarks, proves the CLIs enumerate the
 # algorithm registry and that every registered (Problem, Model) pair has
 # a working benchmark entry, pipes `mpcgraph gen` into `mpcgraph solve`
 # for one scenario per problem, boots a real mpcgraphd daemon and proves

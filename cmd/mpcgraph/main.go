@@ -17,8 +17,7 @@
 //	mpcgraph top -interval 2s
 //	mpcgraph list
 //
-// Run "mpcgraph <command> -h" for per-command flags. The deprecated
-// mpcmis and mpcmatch commands are thin shims over this tool.
+// Run "mpcgraph <command> -h" for per-command flags.
 //
 // # Exit codes
 //

@@ -3,8 +3,7 @@ package mpcgraph_test
 // Runnable godoc examples for the public API. The Output comments are
 // asserted by `go test`, so these double as end-to-end regression tests
 // with fixed seeds. The ExampleSolve_* family demonstrates the unified
-// Solve entry point for every Problem; the remaining examples cover the
-// deprecated per-problem wrappers.
+// Solve entry point for every Problem.
 
 import (
 	"context"
@@ -144,58 +143,6 @@ func ExampleSolve_congestedClique() {
 	// per-player load within the Lenzen limit: true
 }
 
-func ExampleMIS() {
-	g := mpcgraph.RandomGraph(1000, 0.01, 42)
-	res, err := mpcgraph.MIS(g, mpcgraph.Options{Seed: 7})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println("valid:", mpcgraph.IsMaximalIndependentSet(g, res.InMIS))
-	fmt.Println("rounds are doubly logarithmic:", res.Stats.Rounds < 20)
-	// Output:
-	// valid: true
-	// rounds are doubly logarithmic: true
-}
-
-func ExampleApproxMaxMatching() {
-	g := mpcgraph.RandomGraph(1000, 0.01, 42)
-	res, err := mpcgraph.ApproxMaxMatching(g, mpcgraph.Options{Seed: 7, Eps: 0.1})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println("valid:", mpcgraph.IsMatching(g, res.M))
-	// A maximal matching on this instance has at least ~380 edges; 2+eps
-	// approximation guarantees at least opt/(2+eps).
-	fmt.Println("non-trivial:", res.M.Size() > 300)
-	// Output:
-	// valid: true
-	// non-trivial: true
-}
-
-func ExampleApproxMinVertexCover() {
-	g := mpcgraph.RandomGraph(1000, 0.01, 42)
-	res, err := mpcgraph.ApproxMinVertexCover(g, mpcgraph.Options{Seed: 7, Eps: 0.1})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	covered := 0
-	for _, in := range res.InCover {
-		if in {
-			covered++
-		}
-	}
-	fmt.Println("valid:", mpcgraph.IsVertexCover(g, res.InCover))
-	// The dual fractional matching certifies the quality of this exact
-	// run: |cover| <= (2+eps)·dual <= (2+eps)·opt.
-	fmt.Println("certified ratio below 2.2:", float64(covered) <= 2.2*res.FractionalWeight)
-	// Output:
-	// valid: true
-	// certified ratio below 2.2: true
-}
-
 func ExampleNewGraphBuilder() {
 	b := mpcgraph.NewGraphBuilder(4)
 	b.AddEdge(0, 1)
@@ -205,21 +152,4 @@ func ExampleNewGraphBuilder() {
 	fmt.Println(g.NumVertices(), "vertices,", g.NumEdges(), "edges")
 	// Output:
 	// 4 vertices, 3 edges
-}
-
-func ExampleApproxMaxWeightedMatching() {
-	// Two edges sharing vertex 1: the heavy one must win.
-	b := mpcgraph.NewGraphBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	g := b.MustBuild()
-	wg, err := mpcgraph.NewWeightedGraph(g, []float64{1.0, 10.0})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	res := mpcgraph.ApproxMaxWeightedMatching(wg, mpcgraph.Options{Seed: 1, Eps: 0.1})
-	fmt.Println("value:", res.Value)
-	// Output:
-	// value: 10
 }

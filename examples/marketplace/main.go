@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,8 @@ func main() {
 	fmt.Printf("marketplace: %d advertisers, %d slots, %d bids\n", advertisers, slots, g.NumEdges())
 
 	// Fill as many slots as possible: (1+eps) maximum matching.
-	fill, err := mpcgraph.OnePlusEpsMatching(g, mpcgraph.Options{Seed: 1, Eps: 0.05})
+	ctx := context.Background()
+	fill, err := mpcgraph.Solve(ctx, g, mpcgraph.ProblemOnePlusEpsMatching, mpcgraph.Options{Seed: 1, Eps: 0.05})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 		log.Fatal("assignment failed validation")
 	}
 	fmt.Printf("coverage objective: %d / %d slots filled (within 1.05 of optimal), %d simulated rounds\n",
-		fill.M.Size(), slots, fill.Stats.Rounds)
+		fill.M.Size(), slots, fill.Rounds)
 
 	// Maximize revenue: weighted matching over the bid values.
 	weights := make([]float64, 0, len(bids))
@@ -78,7 +80,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rev := mpcgraph.ApproxMaxWeightedMatching(wg, mpcgraph.Options{Seed: 2, Eps: 0.1})
+	rev, err := mpcgraph.Solve(ctx, wg, mpcgraph.ProblemWeightedMatching, mpcgraph.Options{Seed: 2, Eps: 0.1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !mpcgraph.IsMatching(g, rev.M) {
 		log.Fatal("revenue assignment failed validation")
 	}

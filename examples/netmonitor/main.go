@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 	g := b.MustBuild()
 	fmt.Printf("topology: %d routers, %d links\n", g.NumVertices(), g.NumEdges())
 
-	res, err := mpcgraph.ApproxMinVertexCover(g, mpcgraph.Options{Seed: 3, Eps: 0.1})
+	res, err := mpcgraph.Solve(context.Background(), g, mpcgraph.ProblemVertexCover, mpcgraph.Options{Seed: 3, Eps: 0.1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,5 +66,5 @@ func main() {
 	fmt.Printf("certificate: any placement needs >= %.0f monitors (dual bound), so this run is within %.2fx of optimal\n",
 		res.FractionalWeight, float64(monitors)/res.FractionalWeight)
 	fmt.Printf("cluster cost: %d MPC rounds, max %d words per machine\n",
-		res.Stats.Rounds, res.Stats.MaxMachineWords)
+		res.Rounds, res.MaxMachineWords)
 }

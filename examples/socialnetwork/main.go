@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,8 @@ func main() {
 
 	// MemoryFactor 4 models machines that cannot hold the whole graph, so
 	// the rank-prefix phases actually distribute the work.
-	res, err := mpcgraph.MIS(g, mpcgraph.Options{Seed: 2018, Strict: true, MemoryFactor: 4})
+	res, err := mpcgraph.Solve(context.Background(), g, mpcgraph.ProblemMIS,
+		mpcgraph.Options{Seed: 2018, Strict: true, MemoryFactor: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,6 +73,6 @@ func main() {
 	}
 	fmt.Printf("schedule: %d creators premiere simultaneously with zero conflicts\n", selected)
 	fmt.Printf("cluster cost: %d MPC rounds (%d prefix phases), max %d words on any machine\n",
-		res.Stats.Rounds, res.Phases, res.Stats.MaxMachineWords)
+		res.Rounds, res.Phases, res.MaxMachineWords)
 	fmt.Printf("for contrast, a Luby-style schedule would need Θ(log n) ≈ 15 rounds of full-graph traffic\n")
 }

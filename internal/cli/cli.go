@@ -3,9 +3,7 @@
 // subcommands
 // over the unified Solve registry, the scenario catalog, the
 // multi-format graphio layer and the internal/service solve daemon.
-// The deprecated mpcmis and mpcmatch commands are thin shims that
-// translate their historical flags into Run invocations, and the
-// standalone cmd/mpcgraphd daemon binary is a shim over the serve
+// The standalone cmd/mpcgraphd daemon binary is a shim over the serve
 // subcommand, so every code path ships through this package.
 //
 // The tool's reproducibility contract: `mpcgraph solve` produces
@@ -61,8 +59,8 @@ Examples:
   mpcgraph top -interval 2s
   mpcgraph list`
 
-// Env carries the process streams so tests (and the deprecated shims)
-// can run the CLI hermetically.
+// Env carries the process streams so tests can run the CLI
+// hermetically.
 type Env struct {
 	Stdin  io.Reader
 	Stdout io.Writer

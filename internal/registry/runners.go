@@ -146,8 +146,7 @@ func onePlusEpsRunner(m model.Model) func(context.Context, Input, Options) (*Rep
 		rep := pipelineReport(base)
 		rep.M = boost.M
 		// Each augmentation pass is O(path length) = O(1/ε) distributed
-		// rounds; charge one round per pass as the deprecated entry
-		// point always has.
+		// rounds; charge one round per pass.
 		rep.Rounds += boost.Passes
 		rep.Stages = append(rep.Stages, model.StageCost{Name: "boost", Rounds: boost.Passes})
 		return rep, nil

@@ -99,8 +99,8 @@ func TestGenerateParamOverride(t *testing.T) {
 	if cliques.G.MaxDegree() != 6 {
 		t.Errorf("clique override ignored: maxdeg = %d", cliques.G.MaxDegree())
 	}
-	// p = 0 is the legitimate empty graph (the historical mpcmis/mpcmatch
-	// RandomGraph semantics), not "use the avg-deg default".
+	// p = 0 is the legitimate empty graph (what mpcgraph.RandomGraph
+	// returns for p = 0), not "use the avg-deg default".
 	empty, err := Generate("gnp", 100, 1, map[string]float64{"p": 0})
 	if err != nil {
 		t.Fatal(err)

@@ -44,11 +44,6 @@
 // in-process or was round-tripped through any format. The cmd/mpcgraph
 // CLI (gen, solve, bench, list) is a thin shell over exactly this API.
 //
-// The original per-problem functions (MIS, MISCongestedClique,
-// ApproxMaxMatching, OnePlusEpsMatching, ApproxMinVertexCover,
-// ApproxMaxWeightedMatching) remain as deprecated thin wrappers over
-// Solve and produce bit-identical results; new code should call Solve.
-//
 // # Concurrency and determinism
 //
 // The model is bulk-synchronous: within a round every simulated machine
@@ -60,15 +55,11 @@
 // ranges are sharded deterministically, integer accounting merges in
 // shard order, and every floating-point sum is computed entirely inside
 // one vertex's loop body — so Workers trades wall-clock time only,
-// never reproducibility. A *Graph is safe for concurrent readers; the
-// algorithm entry points may be called from different goroutines on
-// different graphs.
+// never reproducibility. A *Graph is safe for concurrent readers;
+// Solve may be called from different goroutines on different graphs.
 package mpcgraph
 
 import (
-	"context"
-	"fmt"
-
 	"mpcgraph/internal/graph"
 	"mpcgraph/internal/rng"
 )
@@ -96,7 +87,7 @@ func RandomGraph(n int, p float64, seed uint64) *Graph {
 	return graph.GNP(n, p, rng.New(seed))
 }
 
-// Options configures Solve and the deprecated per-problem functions.
+// Options configures Solve.
 type Options struct {
 	// Seed makes every random choice reproducible. Two runs with equal
 	// seeds return identical results.
@@ -115,136 +106,13 @@ type Options struct {
 	// Results are bit-identical for every setting; see the package
 	// comment.
 	Workers int
-	// Model selects the simulated computation model for Solve: ModelMPC
-	// (the zero value) or ModelCongestedClique. The deprecated
-	// per-problem functions override it to match their historical model.
+	// Model selects the simulated computation model: ModelMPC (the zero
+	// value) or ModelCongestedClique.
 	Model Model
 	// Trace, when non-nil, receives one TraceEvent per metered
 	// communication step of the run — the observability hook for long
 	// simulations. Tracing never changes results, costs or errors.
 	Trace TraceFunc
-}
-
-// Stats reports the simulated model costs of a run (legacy shape; Solve
-// returns the richer Report).
-type Stats struct {
-	// Rounds is the number of MPC (or CONGESTED-CLIQUE) rounds used.
-	Rounds int
-	// MaxMachineWords is the largest per-round load on any machine.
-	MaxMachineWords int64
-	// TotalWords is the total communication volume.
-	TotalWords int64
-}
-
-// MISResult is the result of MIS and MISCongestedClique.
-type MISResult struct {
-	// InMIS marks the maximal independent set.
-	InMIS []bool
-	// Stats carries the audited model costs.
-	Stats Stats
-	// Phases is the number of rank-prefix phases (O(log log Δ)).
-	Phases int
-}
-
-// MIS computes a maximal independent set in the simulated MPC model using
-// the paper's O(log log Δ)-round randomized greedy simulation.
-//
-// Deprecated: use Solve with ProblemMIS; this wrapper is equivalent to
-// Solve(context.Background(), g, ProblemMIS, opts) with opts.Model
-// forced to ModelMPC, and produces bit-identical results.
-func MIS(g *Graph, opts Options) (*MISResult, error) {
-	opts.Model = ModelMPC
-	rep, err := Solve(context.Background(), g, ProblemMIS, opts)
-	if err != nil {
-		return nil, fmt.Errorf("mpcgraph: MIS: %w", err)
-	}
-	return &MISResult{InMIS: rep.InMIS, Stats: statsOf(rep), Phases: rep.Phases}, nil
-}
-
-// MISCongestedClique computes a maximal independent set in the simulated
-// CONGESTED-CLIQUE model (Theorem 1.1, second part).
-//
-// Deprecated: use Solve with ProblemMIS and ModelCongestedClique.
-func MISCongestedClique(g *Graph, opts Options) (*MISResult, error) {
-	opts.Model = ModelCongestedClique
-	rep, err := Solve(context.Background(), g, ProblemMIS, opts)
-	if err != nil {
-		return nil, fmt.Errorf("mpcgraph: MISCongestedClique: %w", err)
-	}
-	return &MISResult{InMIS: rep.InMIS, Stats: statsOf(rep), Phases: rep.Phases}, nil
-}
-
-// MatchingResult is the result of the matching algorithms.
-type MatchingResult struct {
-	// M is the computed matching.
-	M Matching
-	// Stats carries the audited model costs (rounds include all
-	// fractional-simulation invocations and the completion).
-	Stats Stats
-}
-
-// ApproxMaxMatching computes a (2+ε)-approximate maximum matching
-// (Theorem 1.2): fractional weight-raising simulation, randomized
-// rounding, and the small-matching completion.
-//
-// Deprecated: use Solve with ProblemApproxMatching. The wrapper now
-// surfaces the full audited costs (historically it reported only
-// Rounds).
-func ApproxMaxMatching(g *Graph, opts Options) (*MatchingResult, error) {
-	opts.Model = ModelMPC
-	rep, err := Solve(context.Background(), g, ProblemApproxMatching, opts)
-	if err != nil {
-		return nil, fmt.Errorf("mpcgraph: ApproxMaxMatching: %w", err)
-	}
-	return &MatchingResult{M: rep.M, Stats: statsOf(rep)}, nil
-}
-
-// OnePlusEpsMatching computes a (1+ε)-approximate maximum matching
-// (Corollary 1.3): the (2+ε) pipeline followed by short augmenting-path
-// boosting. Exact on bipartite inputs; a measured heuristic on general
-// graphs (see experiment E9: `mpcgraph bench -experiment E9`).
-//
-// Deprecated: use Solve with ProblemOnePlusEpsMatching. The wrapper now
-// surfaces the full audited costs (historically it reported only
-// Rounds).
-func OnePlusEpsMatching(g *Graph, opts Options) (*MatchingResult, error) {
-	opts.Model = ModelMPC
-	rep, err := Solve(context.Background(), g, ProblemOnePlusEpsMatching, opts)
-	if err != nil {
-		return nil, fmt.Errorf("mpcgraph: OnePlusEpsMatching: %w", err)
-	}
-	return &MatchingResult{M: rep.M, Stats: statsOf(rep)}, nil
-}
-
-// VertexCoverResult is the result of ApproxMinVertexCover.
-type VertexCoverResult struct {
-	// InCover marks the vertex cover.
-	InCover []bool
-	// FractionalWeight is the weight of the dual fractional matching, a
-	// lower bound on the optimum cover size. It can be loose on dense
-	// inputs with small Eps (measured in experiment E6, `mpcgraph bench
-	// -experiment E6`); for a robust per-run certificate compare the
-	// cover against any maximal matching instead.
-	FractionalWeight float64
-	// Stats carries the audited model costs.
-	Stats Stats
-}
-
-// ApproxMinVertexCover computes a (2+ε)-approximate minimum vertex cover
-// (Theorem 1.2) in O(log log n) simulated MPC rounds.
-//
-// Deprecated: use Solve with ProblemVertexCover.
-func ApproxMinVertexCover(g *Graph, opts Options) (*VertexCoverResult, error) {
-	opts.Model = ModelMPC
-	rep, err := Solve(context.Background(), g, ProblemVertexCover, opts)
-	if err != nil {
-		return nil, fmt.Errorf("mpcgraph: ApproxMinVertexCover: %w", err)
-	}
-	return &VertexCoverResult{
-		InCover:          rep.InCover,
-		FractionalWeight: rep.FractionalWeight,
-		Stats:            statsOf(rep),
-	}, nil
 }
 
 // WeightedGraph is a graph with positive edge weights.
@@ -259,36 +127,6 @@ func NewWeightedGraph(g *Graph, weights []float64) (*WeightedGraph, error) {
 func RandomWeightedGraph(n int, p, lo, hi float64, seed uint64) *WeightedGraph {
 	src := rng.New(seed)
 	return graph.RandomWeights(graph.GNP(n, p, src), lo, hi, src)
-}
-
-// WeightedMatchingResult is the result of ApproxMaxWeightedMatching.
-type WeightedMatchingResult struct {
-	// M is the computed matching and Value its total weight.
-	M     Matching
-	Value float64
-}
-
-// ApproxMaxWeightedMatching computes a (2+ε)-approximate maximum weight
-// matching (Corollary 1.4).
-//
-// Deprecated: use Solve with ProblemWeightedMatching, which additionally
-// returns the audited model costs and can fail loudly under
-// Options.Strict. This wrapper keeps the historical no-error contract:
-// it forces Strict off (the metered run then records violations instead
-// of failing), coerces an invalid MemoryFactor to the default — the old
-// implementation ignored the field entirely — and returns an empty
-// matching in the then-impossible event of an internal error.
-func ApproxMaxWeightedMatching(wg *WeightedGraph, opts Options) *WeightedMatchingResult {
-	opts.Model = ModelMPC
-	opts.Strict = false
-	if opts.MemoryFactor < 0 {
-		opts.MemoryFactor = 0
-	}
-	rep, err := Solve(context.Background(), wg, ProblemWeightedMatching, opts)
-	if err != nil {
-		return &WeightedMatchingResult{M: graph.NewMatching(wg.NumVertices())}
-	}
-	return &WeightedMatchingResult{M: rep.M, Value: rep.Value}
 }
 
 // IsMaximalIndependentSet validates an MIS result against g.

@@ -1,84 +1,80 @@
 package mpcgraph
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
 
-func TestFacadeMIS(t *testing.T) {
-	g := RandomGraph(500, 0.02, 1)
-	res, err := MIS(g, Options{Seed: 2})
+// mustSolve runs Solve and fails the test on error.
+func mustSolve(t *testing.T, in Instance, p Problem, opts Options) *Report {
+	t.Helper()
+	rep, err := Solve(context.Background(), in, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsMaximalIndependentSet(g, res.InMIS) {
+	return rep
+}
+
+func TestFacadeMIS(t *testing.T) {
+	g := RandomGraph(500, 0.02, 1)
+	rep := mustSolve(t, g, ProblemMIS, Options{Seed: 2})
+	if !IsMaximalIndependentSet(g, rep.InMIS) {
 		t.Error("facade MIS invalid")
 	}
-	if res.Stats.Rounds == 0 {
+	if rep.Rounds == 0 {
 		t.Error("no rounds recorded")
 	}
 }
 
 func TestFacadeMISCongestedClique(t *testing.T) {
 	g := RandomGraph(400, 0.03, 3)
-	res, err := MISCongestedClique(g, Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsMaximalIndependentSet(g, res.InMIS) {
+	rep := mustSolve(t, g, ProblemMIS, Options{Seed: 4, Model: ModelCongestedClique})
+	if !IsMaximalIndependentSet(g, rep.InMIS) {
 		t.Error("facade clique MIS invalid")
 	}
 }
 
 func TestFacadeMatching(t *testing.T) {
 	g := RandomGraph(400, 0.02, 5)
-	res, err := ApproxMaxMatching(g, Options{Seed: 6, Eps: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsMatching(g, res.M) {
+	rep := mustSolve(t, g, ProblemApproxMatching, Options{Seed: 6, Eps: 0.1})
+	if !IsMatching(g, rep.M) {
 		t.Error("facade matching invalid")
 	}
 }
 
 func TestFacadeOnePlusEps(t *testing.T) {
 	g := RandomGraph(300, 0.03, 7)
-	res, err := OnePlusEpsMatching(g, Options{Seed: 8, Eps: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsMatching(g, res.M) {
+	rep := mustSolve(t, g, ProblemOnePlusEpsMatching, Options{Seed: 8, Eps: 0.2})
+	if !IsMatching(g, rep.M) {
 		t.Error("facade 1+eps matching invalid")
 	}
 }
 
 func TestFacadeVertexCover(t *testing.T) {
 	g := RandomGraph(400, 0.02, 9)
-	res, err := ApproxMinVertexCover(g, Options{Seed: 10, Eps: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsVertexCover(g, res.InCover) {
+	rep := mustSolve(t, g, ProblemVertexCover, Options{Seed: 10, Eps: 0.1})
+	if !IsVertexCover(g, rep.InCover) {
 		t.Error("facade cover invalid")
 	}
 	covered := 0
-	for _, c := range res.InCover {
+	for _, c := range rep.InCover {
 		if c {
 			covered++
 		}
 	}
-	if res.FractionalWeight > float64(covered)+1e-9 {
+	if rep.FractionalWeight > float64(covered)+1e-9 {
 		t.Error("dual weight exceeds cover size")
 	}
 }
 
 func TestFacadeWeightedMatching(t *testing.T) {
 	wg := RandomWeightedGraph(200, 0.05, 1, 10, 11)
-	res := ApproxMaxWeightedMatching(wg, Options{Seed: 12, Eps: 0.1})
-	if !IsMatching(wg.Graph, res.M) {
+	rep := mustSolve(t, wg, ProblemWeightedMatching, Options{Seed: 12, Eps: 0.1})
+	if !IsMatching(wg.Graph, rep.M) {
 		t.Error("facade weighted matching invalid")
 	}
-	if res.Value <= 0 && wg.NumEdges() > 0 {
+	if rep.Value <= 0 && wg.NumEdges() > 0 {
 		t.Error("weighted matching has zero value on a non-empty graph")
 	}
 }
@@ -102,8 +98,8 @@ func TestFacadeBuilderAndEdgeList(t *testing.T) {
 
 func TestFacadeDeterminism(t *testing.T) {
 	g := RandomGraph(300, 0.03, 13)
-	a, _ := ApproxMaxMatching(g, Options{Seed: 14})
-	b, _ := ApproxMaxMatching(g, Options{Seed: 14})
+	a := mustSolve(t, g, ProblemApproxMatching, Options{Seed: 14})
+	b := mustSolve(t, g, ProblemApproxMatching, Options{Seed: 14})
 	if a.M.Size() != b.M.Size() {
 		t.Error("same seed produced different matchings")
 	}
@@ -116,34 +112,24 @@ func TestFacadeDeterminism(t *testing.T) {
 
 func TestFacadeStrictErrorsPropagate(t *testing.T) {
 	// A dense graph with starved machines must surface the capacity
-	// error through every facade entry point that meters memory.
+	// error from every problem that meters memory.
 	g := RandomGraph(500, 0.2, 15)
 	opts := Options{Seed: 16, Strict: true, MemoryFactor: 0.02}
-	if _, err := MIS(g, opts); err == nil {
-		t.Error("MIS did not propagate the capacity error")
-	}
-	if _, err := ApproxMinVertexCover(g, opts); err == nil {
-		t.Error("ApproxMinVertexCover did not propagate the capacity error")
-	}
-	if _, err := ApproxMaxMatching(g, opts); err == nil {
-		t.Error("ApproxMaxMatching did not propagate the capacity error")
-	}
-	if _, err := OnePlusEpsMatching(g, opts); err == nil {
-		t.Error("OnePlusEpsMatching did not propagate the capacity error")
+	for _, p := range []Problem{ProblemMIS, ProblemVertexCover, ProblemApproxMatching, ProblemOnePlusEpsMatching} {
+		if _, err := Solve(context.Background(), g, p, opts); err == nil {
+			t.Errorf("%s did not propagate the capacity error", p)
+		}
 	}
 }
 
 func TestFacadeCliqueStats(t *testing.T) {
 	g := RandomGraph(600, 0.02, 17)
-	res, err := MISCongestedClique(g, Options{Seed: 18, Strict: true})
-	if err != nil {
-		t.Fatal(err)
+	rep := mustSolve(t, g, ProblemMIS, Options{Seed: 18, Strict: true, Model: ModelCongestedClique})
+	if rep.Rounds == 0 || rep.TotalWords == 0 {
+		t.Errorf("costs not populated: rounds %d, total words %d", rep.Rounds, rep.TotalWords)
 	}
-	if res.Stats.Rounds == 0 || res.Stats.TotalWords == 0 {
-		t.Errorf("stats not populated: %+v", res.Stats)
-	}
-	if res.Stats.MaxMachineWords > int64(g.NumVertices()) {
-		t.Errorf("per-player load %d exceeds the clique's n-word Lenzen limit", res.Stats.MaxMachineWords)
+	if rep.MaxMachineWords > int64(g.NumVertices()) {
+		t.Errorf("per-player load %d exceeds the clique's n-word Lenzen limit", rep.MaxMachineWords)
 	}
 }
 
@@ -163,19 +149,19 @@ func TestFacadeWeightedGraphErrors(t *testing.T) {
 func TestFacadePropertyAllOutputsValid(t *testing.T) {
 	check := func(seed uint64) bool {
 		g := RandomGraph(120, 0.05, seed)
-		misRes, err := MIS(g, Options{Seed: seed})
-		if err != nil || !IsMaximalIndependentSet(g, misRes.InMIS) {
-			return false
+		solve := func(p Problem) *Report {
+			rep, err := Solve(context.Background(), g, p, Options{Seed: seed})
+			if err != nil {
+				return nil
+			}
+			return rep
 		}
-		mRes, err := ApproxMaxMatching(g, Options{Seed: seed})
-		if err != nil || !IsMatching(g, mRes.M) {
-			return false
-		}
-		cRes, err := ApproxMinVertexCover(g, Options{Seed: seed})
-		if err != nil || !IsVertexCover(g, cRes.InCover) {
-			return false
-		}
-		return true
+		mis := solve(ProblemMIS)
+		m := solve(ProblemApproxMatching)
+		cover := solve(ProblemVertexCover)
+		return mis != nil && IsMaximalIndependentSet(g, mis.InMIS) &&
+			m != nil && IsMatching(g, m.M) &&
+			cover != nil && IsVertexCover(g, cover.InCover)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package mpcgraph_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -32,97 +33,60 @@ func detGraphs(seed uint64) map[string]*mpcgraph.Graph {
 // workerSweep is the set of Workers values compared against Workers: 1.
 var workerSweep = []int{0, 2, 5}
 
+// assertWorkersInvariant solves g at Workers: 1 and at every workerSweep
+// value, and fails unless the payloads and audited costs — everything
+// but the host wall time — are identical.
+func assertWorkersInvariant(t *testing.T, name string, g *mpcgraph.Graph, p mpcgraph.Problem, opts mpcgraph.Options) {
+	t.Helper()
+	opts.Workers = 1
+	want, err := mpcgraph.Solve(context.Background(), g, p, opts)
+	if err != nil {
+		t.Fatalf("%s: sequential %s: %v", name, p, err)
+	}
+	for _, w := range workerSweep {
+		opts.Workers = w
+		got, err := mpcgraph.Solve(context.Background(), g, p, opts)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", name, w, err)
+		}
+		if !reflect.DeepEqual(stripWall(got), stripWall(want)) {
+			t.Errorf("%s seed=%d: %s/%s with Workers=%d diverged from Workers=1", name, opts.Seed, p, opts.Model, w)
+		}
+	}
+}
+
 func TestMISDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []uint64{3, 2018} {
 		for name, g := range detGraphs(seed) {
-			want, err := mpcgraph.MIS(g, mpcgraph.Options{Seed: seed, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s: sequential MIS: %v", name, err)
-			}
-			for _, w := range workerSweep {
-				got, err := mpcgraph.MIS(g, mpcgraph.Options{Seed: seed, Workers: w})
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", name, w, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s seed=%d: MIS with Workers=%d diverged from Workers=1", name, seed, w)
-				}
-			}
+			assertWorkersInvariant(t, name, g, mpcgraph.ProblemMIS, mpcgraph.Options{Seed: seed})
 		}
 	}
 }
 
 func TestCliqueMISDeterministicAcrossWorkers(t *testing.T) {
 	for name, g := range detGraphs(7) {
-		want, err := mpcgraph.MISCongestedClique(g, mpcgraph.Options{Seed: 7, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: sequential clique MIS: %v", name, err)
-		}
-		for _, w := range workerSweep {
-			got, err := mpcgraph.MISCongestedClique(g, mpcgraph.Options{Seed: 7, Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: clique MIS with Workers=%d diverged from Workers=1", name, w)
-			}
-		}
+		assertWorkersInvariant(t, name, g, mpcgraph.ProblemMIS,
+			mpcgraph.Options{Seed: 7, Model: mpcgraph.ModelCongestedClique})
 	}
 }
 
 func TestMatchingDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []uint64{11, 99} {
 		for name, g := range detGraphs(seed) {
-			want, err := mpcgraph.ApproxMaxMatching(g, mpcgraph.Options{Seed: seed, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s: sequential matching: %v", name, err)
-			}
-			for _, w := range workerSweep {
-				got, err := mpcgraph.ApproxMaxMatching(g, mpcgraph.Options{Seed: seed, Workers: w})
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", name, w, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s seed=%d: matching with Workers=%d diverged from Workers=1", name, seed, w)
-				}
-			}
+			assertWorkersInvariant(t, name, g, mpcgraph.ProblemApproxMatching, mpcgraph.Options{Seed: seed})
 		}
 	}
 }
 
 func TestVertexCoverDeterministicAcrossWorkers(t *testing.T) {
 	for name, g := range detGraphs(23) {
-		want, err := mpcgraph.ApproxMinVertexCover(g, mpcgraph.Options{Seed: 23, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: sequential cover: %v", name, err)
-		}
-		for _, w := range workerSweep {
-			got, err := mpcgraph.ApproxMinVertexCover(g, mpcgraph.Options{Seed: 23, Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: cover with Workers=%d diverged from Workers=1", name, w)
-			}
-		}
+		assertWorkersInvariant(t, name, g, mpcgraph.ProblemVertexCover, mpcgraph.Options{Seed: 23})
 	}
 }
 
 func TestOnePlusEpsDeterministicAcrossWorkers(t *testing.T) {
 	g := mpcgraph.RandomGraph(1500, 8.0/1500, 5)
-	want, err := mpcgraph.OnePlusEpsMatching(g, mpcgraph.Options{Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerSweep {
-		got, err := mpcgraph.OnePlusEpsMatching(g, mpcgraph.Options{Seed: 5, Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("1+eps matching with Workers=%d diverged from Workers=1", w)
-		}
-	}
+	assertWorkersInvariant(t, "gnp", g, mpcgraph.ProblemOnePlusEpsMatching, mpcgraph.Options{Seed: 5})
 }
 
 // TestGraphConstructorsDeterministicAcrossWorkers pins the graph-layer
@@ -171,8 +135,11 @@ func graphEqual(a, b *mpcgraph.Graph) bool {
 
 func ExampleOptions_workers() {
 	g := mpcgraph.RandomGraph(512, 0.05, 1)
-	seq, _ := mpcgraph.MIS(g, mpcgraph.Options{Seed: 9, Workers: 1})
-	all, _ := mpcgraph.MIS(g, mpcgraph.Options{Seed: 9, Workers: 0})
+	ctx := context.Background()
+	seq, _ := mpcgraph.Solve(ctx, g, mpcgraph.ProblemMIS, mpcgraph.Options{Seed: 9, Workers: 1})
+	all, _ := mpcgraph.Solve(ctx, g, mpcgraph.ProblemMIS, mpcgraph.Options{Seed: 9, Workers: 0})
+	// Everything but the host wall time is bit-identical.
+	seq.Wall, all.Wall = 0, 0
 	fmt.Println(reflect.DeepEqual(seq, all))
 	// Output: true
 }

@@ -9,9 +9,9 @@ import (
 // (InMIS, M, InCover/FractionalWeight, Value) plus the complete audited
 // model costs — Rounds, Phases, MaxMachineWords, TotalWords, Violations,
 // host wall time, and the per-stage breakdown in Stages — for every
-// algorithm, under both models. Unlike the deprecated per-problem entry
-// points, no Report ever drops a cost field: a metered run always
-// carries its max per-machine load and total communication volume.
+// algorithm, under both models. No Report drops a cost field: a metered
+// run always carries its max per-machine load and total communication
+// volume.
 type Report = registry.Report
 
 // StageCost is one entry of Report.Stages: the audited rounds and
@@ -26,13 +26,3 @@ type TraceEvent = model.TraceEvent
 
 // TraceFunc observes TraceEvents; see Options.Trace.
 type TraceFunc = model.TraceFunc
-
-// statsOf lifts a Report's cost totals into the legacy Stats shape used
-// by the deprecated entry points.
-func statsOf(rep *Report) Stats {
-	return Stats{
-		Rounds:          rep.Rounds,
-		MaxMachineWords: rep.MaxMachineWords,
-		TotalWords:      rep.TotalWords,
-	}
-}

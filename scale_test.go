@@ -22,24 +22,18 @@ func TestScaleLargeInstance(t *testing.T) {
 		t.Fatalf("unexpectedly sparse instance: %d edges", g.NumEdges())
 	}
 
-	res, err := MIS(g, Options{Seed: 1, Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, g, ProblemMIS, Options{Seed: 1, Strict: true})
 	if !IsMaximalIndependentSet(g, res.InMIS) {
 		t.Fatal("large-scale MIS invalid")
 	}
-	if res.Stats.Rounds > 20 {
-		t.Errorf("rounds = %d at n=2^16; the O(log log Δ) claim expects ~10", res.Stats.Rounds)
+	if res.Rounds > 20 {
+		t.Errorf("rounds = %d at n=2^16; the O(log log Δ) claim expects ~10", res.Rounds)
 	}
-	if res.Stats.MaxMachineWords > int64(16*n) {
-		t.Errorf("per-machine load %d exceeds 16n", res.Stats.MaxMachineWords)
+	if res.MaxMachineWords > int64(16*n) {
+		t.Errorf("per-machine load %d exceeds 16n", res.MaxMachineWords)
 	}
 
-	vc, err := ApproxMinVertexCover(g, Options{Seed: 2, Eps: 0.1, Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vc := mustSolve(t, g, ProblemVertexCover, Options{Seed: 2, Eps: 0.1, Strict: true})
 	if !IsVertexCover(g, vc.InCover) {
 		t.Fatal("large-scale cover invalid")
 	}

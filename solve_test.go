@@ -6,193 +6,6 @@ import (
 	"testing"
 )
 
-// parityGraphs returns the generator table shared by the wrapper-parity
-// tests: a sparse G(n,p), a dense G(n,p), and a structured ring.
-func parityGraphs(seed uint64) map[string]*Graph {
-	b := NewGraphBuilder(101)
-	for v := int32(0); v < 101; v++ {
-		b.AddEdge(v, (v+1)%101)
-	}
-	return map[string]*Graph{
-		"gnp-sparse": RandomGraph(300, 0.02, seed),
-		"gnp-dense":  RandomGraph(150, 0.15, seed+1),
-		"ring":       b.MustBuild(),
-	}
-}
-
-func sameBools(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameMatching(a, b Matching) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func reportStats(rep *Report) Stats {
-	return Stats{Rounds: rep.Rounds, MaxMachineWords: rep.MaxMachineWords, TotalWords: rep.TotalWords}
-}
-
-// TestDeprecatedWrapperParity is the API-parity acceptance test: every
-// deprecated per-problem wrapper must produce results bit-identical to
-// its Solve equivalent, with identical audited costs, across seeds,
-// generators and Workers settings.
-func TestDeprecatedWrapperParity(t *testing.T) {
-	ctx := context.Background()
-	for _, seed := range []uint64{2, 17} {
-		for name, g := range parityGraphs(seed) {
-			for _, workers := range []int{1, 0} {
-				opts := Options{Seed: seed, Eps: 0.1, Workers: workers}
-				label := func(fn string) string {
-					return fn + "/" + name
-				}
-
-				t.Run(label("MIS"), func(t *testing.T) {
-					old, err := MIS(g, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := Solve(ctx, g, ProblemMIS, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameBools(old.InMIS, rep.InMIS) {
-						t.Error("MIS sets differ")
-					}
-					if old.Stats != reportStats(rep) || old.Phases != rep.Phases {
-						t.Errorf("MIS costs differ: %+v vs %+v", old.Stats, reportStats(rep))
-					}
-				})
-
-				t.Run(label("MISCongestedClique"), func(t *testing.T) {
-					old, err := MISCongestedClique(g, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cliqueOpts := opts
-					cliqueOpts.Model = ModelCongestedClique
-					rep, err := Solve(ctx, g, ProblemMIS, cliqueOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameBools(old.InMIS, rep.InMIS) {
-						t.Error("clique MIS sets differ")
-					}
-					if old.Stats != reportStats(rep) {
-						t.Errorf("clique MIS costs differ: %+v vs %+v", old.Stats, reportStats(rep))
-					}
-				})
-
-				t.Run(label("ApproxMaxMatching"), func(t *testing.T) {
-					old, err := ApproxMaxMatching(g, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := Solve(ctx, g, ProblemApproxMatching, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameMatching(old.M, rep.M) {
-						t.Error("matchings differ")
-					}
-					if old.Stats != reportStats(rep) {
-						t.Errorf("matching costs differ: %+v vs %+v", old.Stats, reportStats(rep))
-					}
-				})
-
-				t.Run(label("OnePlusEpsMatching"), func(t *testing.T) {
-					old, err := OnePlusEpsMatching(g, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := Solve(ctx, g, ProblemOnePlusEpsMatching, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameMatching(old.M, rep.M) {
-						t.Error("boosted matchings differ")
-					}
-					if old.Stats != reportStats(rep) {
-						t.Errorf("boosted costs differ: %+v vs %+v", old.Stats, reportStats(rep))
-					}
-				})
-
-				t.Run(label("ApproxMinVertexCover"), func(t *testing.T) {
-					old, err := ApproxMinVertexCover(g, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := Solve(ctx, g, ProblemVertexCover, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameBools(old.InCover, rep.InCover) {
-						t.Error("covers differ")
-					}
-					if old.FractionalWeight != rep.FractionalWeight {
-						t.Error("dual weights differ")
-					}
-					if old.Stats != reportStats(rep) {
-						t.Errorf("cover costs differ: %+v vs %+v", old.Stats, reportStats(rep))
-					}
-				})
-			}
-		}
-
-		t.Run("ApproxMaxWeightedMatching", func(t *testing.T) {
-			wg := RandomWeightedGraph(200, 0.05, 1, 10, seed)
-			opts := Options{Seed: seed, Eps: 0.1}
-			old := ApproxMaxWeightedMatching(wg, opts)
-			rep, err := Solve(ctx, wg, ProblemWeightedMatching, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameMatching(old.M, rep.M) {
-				t.Error("weighted matchings differ")
-			}
-			if old.Value != rep.Value {
-				t.Errorf("weighted values differ: %v vs %v", old.Value, rep.Value)
-			}
-		})
-	}
-}
-
-// TestSolveWrapperStatsComplete pins the satellite fixes: the matching
-// wrappers must surface the full audited costs, not just Rounds.
-func TestSolveWrapperStatsComplete(t *testing.T) {
-	g := RandomGraph(400, 0.02, 5)
-	opts := Options{Seed: 6, Eps: 0.1}
-	m, err := ApproxMaxMatching(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats.MaxMachineWords == 0 || m.Stats.TotalWords == 0 {
-		t.Errorf("ApproxMaxMatching stats still lossy: %+v", m.Stats)
-	}
-	b, err := OnePlusEpsMatching(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Stats.MaxMachineWords == 0 || b.Stats.TotalWords == 0 {
-		t.Errorf("OnePlusEpsMatching stats still lossy: %+v", b.Stats)
-	}
-}
-
 // TestSolveCancellation asserts the cancellable-runs acceptance
 // criterion: cancelling mid-run surfaces context.Canceled promptly (the
 // simulators check the context at every metered round).
@@ -310,7 +123,7 @@ func TestSolveMaximalMatching(t *testing.T) {
 			t.Errorf("model %s: not a maximal matching", m)
 		}
 		if rep.Rounds == 0 || rep.TotalWords == 0 {
-			t.Errorf("model %s: costs not audited: %+v", m, reportStats(rep))
+			t.Errorf("model %s: costs not audited: rounds %d, total words %d", m, rep.Rounds, rep.TotalWords)
 		}
 	}
 }
