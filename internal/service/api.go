@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"strings"
+	"time"
 
 	"mpcgraph"
 	"mpcgraph/internal/graphio"
@@ -396,31 +397,52 @@ func (j *Job) view() *JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := &JobView{
-		ID:        j.ID,
-		State:     j.state,
-		Problem:   j.problem.String(),
-		Model:     j.model.String(),
-		Source:    j.source,
-		CacheKey:  j.cacheKey,
-		CacheHit:  j.cacheHit,
-		CacheTier: j.cacheTier,
-		Coalesced: j.coalesced,
-		Batch:     j.batchID,
-		Error:     j.err,
-		CreatedAt: j.created.UTC().Format("2006-01-02T15:04:05.000Z"),
-		TraceLen:  len(j.trace),
-		Timings:   j.timings.view(),
-	}
-	if !j.started.IsZero() {
-		v.StartedAt = j.started.UTC().Format("2006-01-02T15:04:05.000Z")
-	}
-	if !j.finished.IsZero() {
-		v.FinishedAt = j.finished.UTC().Format("2006-01-02T15:04:05.000Z")
+		ID:         j.ID,
+		State:      j.state,
+		Problem:    j.problem.String(),
+		Model:      j.model.String(),
+		Source:     j.source,
+		CacheKey:   j.cacheKey,
+		CacheHit:   j.cacheHit,
+		CacheTier:  j.cacheTier,
+		Coalesced:  j.coalesced,
+		Batch:      j.batchID,
+		Error:      j.err,
+		CreatedAt:  wireTime(j.timings.received),
+		StartedAt:  wireTime(j.startedLocked()),
+		FinishedAt: wireTime(j.timings.settled),
+		TraceLen:   len(j.trace),
+		Timings:    j.timings.view(),
 	}
 	if j.report != nil {
 		v.Report = reportView(j.report, j.n, j.m)
 	}
 	return v
+}
+
+// startedLocked is the stamp the view reports as startedAt: when the
+// job's flight began computing; for a job that settled without
+// computing, its cache hit, or its admission when it failed or
+// completed otherwise; nothing for a job canceled before it ran.
+// Callers hold j.mu.
+func (j *Job) startedLocked() time.Time {
+	switch {
+	case !j.timings.solving.IsZero():
+		return j.timings.solving
+	case j.state != StateDone && j.state != StateFailed:
+		return time.Time{}
+	case j.cacheHit:
+		return j.timings.settled
+	}
+	return j.timings.received
+}
+
+// wireTime renders a wall-clock stamp for a view, "" when unset.
+func wireTime(at time.Time) string {
+	if at.IsZero() {
+		return ""
+	}
+	return at.UTC().Format("2006-01-02T15:04:05.000Z")
 }
 
 // renderSolution writes the full solution payload: one vertex id per

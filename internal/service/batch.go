@@ -418,7 +418,7 @@ func (b *Batch) view() *BatchView {
 			Enqueued:      b.enqueued,
 			FailedResolve: b.failedResolve,
 		},
-		CreatedAt: b.created.UTC().Format("2006-01-02T15:04:05.000Z"),
+		CreatedAt: wireTime(b.created),
 	}
 	if len(b.completions) == len(b.jobs) {
 		v.State = "done"
@@ -426,7 +426,7 @@ func (b *Batch) view() *BatchView {
 	finished := b.finished
 	b.mu.Unlock()
 	if !finished.IsZero() {
-		v.FinishedAt = finished.UTC().Format("2006-01-02T15:04:05.000Z")
+		v.FinishedAt = wireTime(finished)
 		v.WallMs = float64(finished.Sub(b.created).Microseconds()) / 1000
 	} else {
 		v.WallMs = float64(time.Since(b.created).Microseconds()) / 1000

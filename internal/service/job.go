@@ -85,9 +85,6 @@ type Job struct {
 	report    *mpcgraph.Report
 	cacheHit  bool
 	cacheTier CacheTier
-	created   time.Time
-	started   time.Time
-	finished  time.Time
 	timings   jobTimings
 	deadline  *time.Timer // fires cancelJob when timeoutMs lapses
 
@@ -101,17 +98,15 @@ type Job struct {
 }
 
 func newJob(id string, tel *telemetry) *Job {
-	now := time.Now()
 	j := &Job{
 		ID:        id,
 		state:     StateQueued,
 		cacheTier: TierNone,
-		created:   now,
 		changed:   make(chan struct{}),
 		tel:       tel,
 		lg:        tel.log.With(obs.F("job", id)),
 	}
-	j.timings.received = now
+	j.timings.received = time.Now()
 	return j
 }
 
@@ -224,7 +219,7 @@ func (j *Job) armDeadline() {
 		// it and would linger until it fired.
 		return
 	}
-	j.deadline = time.AfterFunc(time.Until(j.created.Add(j.timeout)), func() {
+	j.deadline = time.AfterFunc(time.Until(j.timings.received.Add(j.timeout)), func() {
 		j.cancelJob("job deadline exceeded (timeoutMs bounds queue wait plus execution)")
 	})
 }
@@ -252,14 +247,11 @@ func (j *Job) completeCached(rep *mpcgraph.Report, tier CacheTier) {
 		j.mu.Unlock()
 		return
 	}
-	now := time.Now()
 	j.state = StateDone
 	j.report = rep
 	j.cacheHit = true
 	j.cacheTier = tier
-	j.started = now
-	j.finished = now
-	j.timings.settled = now
+	j.timings.settled = time.Now()
 	j.stopDeadlineLocked()
 	j.signalLocked()
 	j.mu.Unlock()
@@ -275,8 +267,7 @@ func (j *Job) markRunning() {
 		return
 	}
 	j.state = StateRunning
-	j.started = time.Now()
-	j.timings.solving = j.started
+	j.timings.solving = time.Now()
 	j.signalLocked()
 }
 
@@ -292,11 +283,7 @@ func (j *Job) complete(rep *mpcgraph.Report) {
 	}
 	j.state = StateDone
 	j.report = rep
-	if j.started.IsZero() {
-		j.started = j.created
-	}
-	j.finished = time.Now()
-	j.timings.settled = j.finished
+	j.timings.settled = time.Now()
 	j.stopDeadlineLocked()
 	j.signalLocked()
 	j.mu.Unlock()
@@ -314,11 +301,7 @@ func (j *Job) fail(err error) {
 	}
 	j.state = StateFailed
 	j.err = err.Error()
-	if j.started.IsZero() {
-		j.started = j.created
-	}
-	j.finished = time.Now()
-	j.timings.settled = j.finished
+	j.timings.settled = time.Now()
 	j.stopDeadlineLocked()
 	j.signalLocked()
 	j.mu.Unlock()
@@ -339,11 +322,10 @@ func (j *Job) cancelJob(reason string) bool {
 	}
 	j.state = StateCanceled
 	j.err = reason
-	j.finished = time.Now()
-	j.timings.settled = j.finished
+	j.timings.settled = time.Now()
 	f := j.flight
 	if f != nil {
-		j.timings.detached = j.finished
+		j.timings.detached = j.timings.settled
 	}
 	j.stopDeadlineLocked()
 	j.signalLocked()
@@ -363,7 +345,7 @@ func (j *Job) notifyTerminal() {
 	if j.tel != nil {
 		j.mu.Lock()
 		state := j.state
-		e2e := j.finished.Sub(j.created)
+		e2e := j.timings.settled.Sub(j.timings.received)
 		hit := j.cacheHit
 		tier := j.cacheTier
 		coalesced := j.coalesced

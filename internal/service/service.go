@@ -36,8 +36,8 @@
 // pair, scenario or format appears in the service automatically, with
 // no service change. See docs/service.md for the wire API.
 //
-// This package records wall-clock job timestamps (created/started/
-// finished, uptime); those are operational metadata only and never
+// This package records wall-clock job timestamps (the per-phase job
+// timings, uptime); those are operational metadata only and never
 // enter a Report's audited costs or the cache key.
 package service
 

@@ -127,19 +127,20 @@ func durMs(d time.Duration) float64 {
 
 // jobTimings is the per-phase monotonic timing record of one job:
 // wall-clock stamps taken at each lifecycle transition, exposed as
-// offsets from received in the job view's timings block. Guarded by
-// Job.mu like the rest of the job's mutable state. Stamps are
-// operational metadata only — like created/started/finished they never
-// enter a Report's audited costs or the cache key.
+// offsets from received in the job view's timings block, and the only
+// clock a job keeps: the view's createdAt, startedAt and finishedAt
+// are rendered from these stamps. Guarded by Job.mu like the rest of
+// the job's mutable state. Stamps are operational metadata only — they
+// never enter a Report's audited costs or the cache key.
 type jobTimings struct {
-	received  time.Time // record created (== Job.created)
+	received  time.Time // record created (createdAt)
 	queued    time.Time // admitted to the job queue (leaders only)
 	attached  time.Time // coalesced onto an existing flight (followers only)
 	dequeued  time.Time // picked up by a worker (leaders only)
 	solving   time.Time // the flight's computation started
 	persisted time.Time // result written through the cache tiers
 	detached  time.Time // rider canceled off its flight
-	settled   time.Time // terminal transition (== Job.finished)
+	settled   time.Time // terminal transition (finishedAt)
 
 	memProbe   time.Duration // L1 probe duration (zero: not probed)
 	diskProbe  time.Duration // L2 probe duration (zero: not probed)
