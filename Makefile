@@ -102,8 +102,8 @@ bench-smoke:
 
 # The perf trajectory artifact: the E1..E18 smoke sweep in machine-
 # readable form, committed as BENCH_PR10.json so successive PRs can diff
-# audited costs (BENCH_PR4.json and BENCH_PR9.json are the retained
-# earlier snapshots). Regenerate after any intentional cost change.
+# audited costs (earlier snapshots live in git history). Regenerate
+# after any intentional cost change.
 bench-json:
 	$(GO) run ./cmd/mpcgraph bench -quick -trials 1 -json > BENCH_PR10.json
 
