@@ -25,9 +25,6 @@ type Sample struct {
 	Value  float64
 }
 
-// Label returns the value of one label, "" when absent.
-func (s Sample) Label(key string) string { return s.Labels[key] }
-
 // Exposition is a parsed /metrics payload.
 type Exposition struct {
 	Samples []Sample
