@@ -3,10 +3,11 @@
 # under the race detector (the determinism tests in parallel_test.go
 # double as the parallel-engine oracle; the round-trip tests in
 # solvefile_test.go pin the file formats to bit-identical reports),
-# smoke-runs the benchmarks, proves the CLIs enumerate the
+# smoke-runs the benchmarks, proves `mpcgraph list` enumerates the
 # algorithm registry and that every registered (Problem, Model) pair has
-# a working benchmark entry, pipes `mpcgraph gen` into `mpcgraph solve`
-# for one scenario per problem, boots a real mpcgraphd daemon and proves
+# a working benchmark entry, checks that BENCH_PR10.json matches a fresh
+# quick sweep, runs every program under examples/, pipes `mpcgraph gen`
+# into `mpcgraph solve` for one scenario per problem, boots a real mpcgraphd daemon and proves
 # the deterministic result cache serves bit-identical hits for every
 # problem before draining it with SIGTERM, SIGKILLs a daemon mid-queue
 # and proves the persistent cache tier recovers every completed result
@@ -30,6 +31,8 @@
 #   make tables     - regenerate the experiment tables (text) at quick scale
 #   make json       - machine-readable experiment rows (BENCH_*.json input)
 #   make bench-json - run the smoke sweep with -json and write BENCH_PR10.json
+#   make bench-json-check - fail unless BENCH_PR10.json matches a fresh sweep
+#   make examples-smoke - run every examples/ program, fail on a non-zero exit
 #   make list-smoke - mpcgraph list + bench -check registry/benchmark coverage
 #   make cli-smoke  - mpcgraph gen|solve pipe, one scenario per problem
 #   make service-smoke - boot mpcgraphd, one job per problem, cache-hit
@@ -49,9 +52,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: ci fmt vet lint lint-fast test race cover bench bench-smoke bench-json fuzz-smoke list-smoke cli-smoke service-smoke chaos-smoke scale-smoke scale-smoke-short scale allocs-guard docs-check tables json
+.PHONY: ci fmt vet lint lint-fast test race cover bench bench-smoke bench-json bench-json-check examples-smoke fuzz-smoke list-smoke cli-smoke service-smoke chaos-smoke scale-smoke scale-smoke-short scale allocs-guard docs-check tables json
 
-ci: fmt vet lint race cover allocs-guard fuzz-smoke bench-smoke list-smoke cli-smoke service-smoke chaos-smoke scale-smoke-short docs-check
+ci: fmt vet lint race cover allocs-guard fuzz-smoke bench-smoke list-smoke bench-json-check examples-smoke cli-smoke service-smoke chaos-smoke scale-smoke-short docs-check
 
 fmt:
 	@unformatted="$$(gofmt -l .)"; \
@@ -103,9 +106,31 @@ bench-smoke:
 # The perf trajectory artifact: the E1..E18 smoke sweep in machine-
 # readable form, committed as BENCH_PR10.json so successive PRs can diff
 # audited costs (earlier snapshots live in git history). Regenerate
-# after any intentional cost change.
+# after any intentional cost change. The sweep goes to a temp file first,
+# so a failed run leaves the committed file intact.
 bench-json:
-	$(GO) run ./cmd/mpcgraph bench -quick -trials 1 -json > BENCH_PR10.json
+	$(GO) run ./cmd/mpcgraph bench -quick -trials 1 -json > BENCH_PR10.json.tmp || { rm -f BENCH_PR10.json.tmp; exit 1; }
+	mv BENCH_PR10.json.tmp BENCH_PR10.json
+
+# Fails when a fresh quick sweep differs from the committed
+# BENCH_PR10.json: an audited cost moved and the artifact was not
+# regenerated.
+bench-json-check:
+	@tmp=$$(mktemp); \
+	$(GO) run ./cmd/mpcgraph bench -quick -trials 1 -json > "$$tmp" || { rm -f "$$tmp"; exit 1; }; \
+	if cmp "$$tmp" BENCH_PR10.json; then \
+		rm -f "$$tmp"; echo "bench-json-check: BENCH_PR10.json matches a fresh sweep"; \
+	else \
+		rm -f "$$tmp"; echo "bench-json-check: BENCH_PR10.json is stale; run make bench-json"; exit 1; \
+	fi
+
+# Every examples/ program validates its own results and exits non-zero
+# when a check fails.
+examples-smoke:
+	@for dir in examples/*/; do \
+		echo "examples-smoke: $${dir%/}"; \
+		$(GO) run "./$${dir%/}" > /dev/null || exit 1; \
+	done
 
 # Short-run fuzz smoke of the structured graph readers, so the strict
 # parse/error grammars of docs/formats.md stay exercised pre-merge
