@@ -28,8 +28,13 @@ func TestListEnumeratesEveryRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
+	for _, section := range []string{"algorithms", "scenarios", "formats", "experiments"} {
+		if !strings.Contains(text, section+" (") {
+			t.Errorf("list missing section %s", section)
+		}
+	}
 	for _, pair := range registry.Pairs() {
-		if !strings.Contains(text, pair.String()) {
+		if !strings.Contains(text, "  "+pair.String()+"\n") {
 			t.Errorf("list missing algorithm %s", pair)
 		}
 	}
@@ -169,31 +174,37 @@ func TestSolveTraceStreams(t *testing.T) {
 
 func TestBenchSubcommand(t *testing.T) {
 	for _, tc := range []struct {
-		args   []string
-		tables []string
+		name string
+		args []string
+		want []string // substrings of the rendered tables
 	}{
-		{[]string{"-experiment", "E3", "-quick", "-trials", "1"}, []string{"E3:"}},
-		{[]string{"-experiment", "E3, E17", "-quick", "-trials", "1"}, []string{"E3:", "E17:"}},
-		{[]string{"-experiment", "E3", "-quick", "-trials", "1", "-workers", "1"}, []string{"E3:"}},
+		{"single", []string{"-experiment", "E3", "-quick", "-trials", "1"}, []string{"E3:"}},
+		{"comma-space-list", []string{"-experiment", "E3, E17", "-quick", "-trials", "1"}, []string{"E3:", "E17:"}},
+		{"workers-1", []string{"-experiment", "E3", "-quick", "-trials", "1", "-workers", "1"}, []string{"E3:"}},
+		{"registry-sweep", []string{"-experiment", "E18", "-quick", "-trials", "1"}, []string{"E18:", "mis/mpc"}},
 	} {
-		env, out, _ := testEnv("")
-		if err := Run(append([]string{"bench"}, tc.args...), env); err != nil {
-			t.Fatalf("bench %q: %v", tc.args, err)
-		}
-		for _, table := range tc.tables {
-			if !strings.Contains(out.String(), table) {
-				t.Errorf("bench %q: table %s missing:\n%s", tc.args, table, out.String())
+		t.Run(tc.name, func(t *testing.T) {
+			env, out, _ := testEnv("")
+			if err := Run(append([]string{"bench"}, tc.args...), env); err != nil {
+				t.Fatalf("bench %q: %v", tc.args, err)
 			}
+			for _, s := range tc.want {
+				if !strings.Contains(out.String(), s) {
+					t.Errorf("bench %q: %s missing:\n%s", tc.args, s, out.String())
+				}
+			}
+		})
+	}
+	t.Run("json", func(t *testing.T) {
+		env, out, _ := testEnv("")
+		if err := Run([]string{"bench", "-experiment", "E3", "-quick", "-trials", "1", "-json"}, env); err != nil {
+			t.Fatal(err)
 		}
-	}
-	env2, out, _ := testEnv("")
-	if err := Run([]string{"bench", "-experiment", "E3", "-quick", "-trials", "1", "-json"}, env2); err != nil {
-		t.Fatal(err)
-	}
-	var tab map[string]any
-	if err := json.Unmarshal(out.Bytes(), &tab); err != nil {
-		t.Fatalf("bench -json emitted bad JSON: %v", err)
-	}
+		var tab map[string]any
+		if err := json.Unmarshal(out.Bytes(), &tab); err != nil {
+			t.Fatalf("bench -json emitted bad JSON: %v", err)
+		}
+	})
 }
 
 func TestBenchCheck(t *testing.T) {
