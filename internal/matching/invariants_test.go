@@ -2,12 +2,14 @@ package matching
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"mpcgraph/internal/graph"
 	"mpcgraph/internal/rng"
+	"mpcgraph/internal/scenario"
 )
 
 // TestCentralRandDegenerateOracleEqualsCentral couples the two
@@ -81,16 +83,41 @@ func TestSimulateEveryEdgeFrozenOrRemoved(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok := true
-		g.ForEachEdge(func(u, v int32) {
-			if !res.Frac.Cover[u] && !res.Frac.Cover[v] {
-				ok = false
-			}
-		})
-		return ok
+		return graph.IsVertexCover(g, res.Frac.Cover)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+
+	// Regression cases: Line (j) of the last phase freezes vertices at
+	// the iteration the direct stage starts in, and the direct stage once
+	// mistook them for peers freezing alongside it. It then retired edges
+	// that were never active, stopped with an active edge left, and
+	// returned a set that was not a cover. Every case below did so.
+	for _, tc := range []struct {
+		scenario string
+		seeds    []uint64
+	}{
+		{"rmat", []uint64{4, 34, 51, 94, 138, 142, 166}},
+		{"chung-lu", []uint64{47, 121}},
+	} {
+		for _, s := range tc.seeds {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.scenario, s), func(t *testing.T) {
+				in, err := scenario.Generate(tc.scenario, 1024, s, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Simulate(in.G, SimOptions{Seed: s, Eps: 0.02, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				in.G.ForEachEdge(func(u, v int32) {
+					if !res.Frac.Cover[u] && !res.Frac.Cover[v] {
+						t.Errorf("edge {%d,%d} is uncovered", u, v)
+					}
+				})
+			})
+		}
 	}
 }
 

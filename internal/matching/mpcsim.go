@@ -641,6 +641,10 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 	maxIter := maxCentralIterations(int(n), st.eps) + st.t
 	iters := 0
 	toFreeze := make([]int32, 0, 64)
+	// frozeNow marks the vertices freezing in the current iteration. A
+	// freezeIter equal to t does not: Line (j) of the last phase freezes
+	// at the t this stage starts in.
+	frozeNow := make([]bool, n)
 	for activeEdges > 0 && st.t < maxIter {
 		mt.SetActive(activeVerts)
 		if err := mt.DirectRound(int64(activeEdges)); err != nil {
@@ -662,6 +666,7 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 		for _, v := range toFreeze {
 			st.freezeIter[v] = int32(st.t)
 			st.cover[v] = true
+			frozeNow[v] = true
 		}
 		activeVerts -= len(toFreeze)
 		// Deactivate edges whose first endpoint froze this iteration.
@@ -671,40 +676,53 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 					continue
 				}
 				// The edge {v,u} was active before this iteration iff u
-				// was unfrozen or froze this very iteration after v —
-				// guard with activeDeg bookkeeping: it was active iff
-				// u's freezeIter is -1 or == t, and the edge not yet
-				// deactivated. Using freezeIter == t for both endpoints
-				// would double-deactivate; let the smaller id act.
-				uf := st.freezeIter[u]
-				if uf >= 0 && int(uf) < st.t {
-					continue // already frozen earlier; edge was frozen
+				// is unfrozen or froze this very iteration. When both
+				// endpoints froze now, the smaller id retires the edge.
+				if st.frozen(u) && !frozeNow[u] {
+					continue // u froze earlier; the edge was never active
 				}
-				if uf == int32(st.t) && u < v {
+				if frozeNow[u] && u < v {
 					continue // peer freeze, edge handled by u's loop
 				}
-				w := wt
-				yFrozen[v] += w
-				yFrozen[u] += w
+				yFrozen[v] += wt
+				yFrozen[u] += wt
 				activeDeg[v]--
 				activeDeg[u]--
 				activeEdges--
 			}
 		}
+		for _, v := range toFreeze {
+			frozeNow[v] = false
+		}
 		st.t++
 		iters++
 	}
-	// Defensive: if the cap fired, freeze remaining active endpoints so
-	// the cover property holds (cannot happen for sane ε; tested).
-	if activeEdges > 0 {
-		for v := int32(0); v < n; v++ {
-			if st.inV[v] && !st.frozen(v) && activeDeg[v] > 0 {
-				st.freezeIter[v] = int32(st.t)
-				st.cover[v] = true
-			}
+	// Defensive: if the cap fired, freeze both endpoints of every edge of
+	// G[V'] that is still active, so the cover property holds (cannot
+	// happen for sane ε; tested). The scan reads the graph, not the
+	// counters, so a bookkeeping slip cannot leave an edge uncovered.
+	toFreeze = toFreeze[:0]
+	for v := int32(0); v < n; v++ {
+		if st.inV[v] && !st.frozen(v) && st.hasActiveEdge(v) {
+			toFreeze = append(toFreeze, v)
 		}
 	}
+	for _, v := range toFreeze {
+		st.freezeIter[v] = int32(st.t)
+		st.cover[v] = true
+	}
 	return iters, nil
+}
+
+// hasActiveEdge reports whether v has a neighbour in V' that is not
+// frozen.
+func (st *simState) hasActiveEdge(v int32) bool {
+	for _, u := range st.g.Neighbors(v) {
+		if st.inV[u] && !st.frozen(u) {
+			return true
+		}
+	}
+	return false
 }
 
 // computeY returns y^MPC over G[V'] at the current iteration. Each

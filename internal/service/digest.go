@@ -35,9 +35,12 @@ import (
 // layout ever changes so stale keys cannot alias fresh ones.
 const instanceDigestVersion = "mpcgraph-instance-v1"
 
-// cacheKeyVersion tags the key layout: v2 hashes the hex instance
-// digest where v1 hashed the canonical instance bytes.
-const cacheKeyVersion = "mpcgraph-key-v2"
+// cacheKeyVersion tags the key layout and the results it may address:
+// v2 hashes the hex instance digest where v1 hashed the canonical
+// instance bytes; v3 keeps the v2 layout but retires the entries solved
+// before the matching simulation's direct stage stopped returning vertex
+// covers that left an edge uncovered.
+const cacheKeyVersion = "mpcgraph-key-v3"
 
 // digestBufSize is the slab the canonical bytes stream through: large
 // enough that the per-Write cost of the hash vanishes, small enough to
