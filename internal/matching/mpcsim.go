@@ -449,6 +449,7 @@ func (st *simState) runPhase(
 	// active edges carry weight w_t, so the local estimate reduces to
 	// ỹ_{v,t} = m·w_t·localDeg(v) + y_old(v).
 	frozenBefore := countFrozen(st)
+	thLo := oracle.Lo()
 	toFreeze := make([]int32, 0, 64)
 	hypoToFreeze := make([]int32, 0, 64)
 	for k := 0; k < iters; k++ {
@@ -459,14 +460,16 @@ func (st *simState) runPhase(
 			// The freeze predicate reads only pre-iteration state (the
 			// thresholds come from a stateless oracle), so the scan fans
 			// out; shard-order concatenation reproduces the sequential
-			// ascending-vertex candidate order exactly.
+			// ascending-vertex candidate order exactly. No threshold is
+			// below thLo, so a lighter vertex skips the oracle's hash.
 			toFreeze = append(toFreeze, par.Collect(st.workers, int(n), func(lo, hi, _ int) []int32 {
 				var out []int32
 				for v := int32(lo); v < int32(hi); v++ {
 					if !st.inV[v] || st.frozen(v) {
 						continue
 					}
-					if float64(m)*wt*float64(localDeg[v])+yold[v] >= oracle.At(v, st.t) {
+					y := float64(m)*wt*float64(localDeg[v]) + yold[v]
+					if y >= thLo && y >= oracle.At(v, st.t) {
 						out = append(out, v)
 					}
 				}
@@ -638,6 +641,7 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 	}, func(a, b [2]int64) [2]int64 { return [2]int64{a[0] + b[0], a[1] + b[1]} })
 	activeEdges := int(acc[0] / 2)
 	activeVerts := int(acc[1])
+	thLo := oracle.Lo() // no threshold is lower, so a lighter vertex skips the hash
 	maxIter := maxCentralIterations(int(n), st.eps) + st.t
 	iters := 0
 	toFreeze := make([]int32, 0, 64)
@@ -657,7 +661,8 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 				if !st.inV[v] || st.frozen(v) {
 					continue
 				}
-				if wt*float64(activeDeg[v])+yFrozen[v] >= oracle.At(v, st.t) {
+				y := wt*float64(activeDeg[v]) + yFrozen[v]
+				if y >= thLo && y >= oracle.At(v, st.t) {
 					out = append(out, v)
 				}
 			}

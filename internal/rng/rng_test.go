@@ -200,15 +200,22 @@ func TestHashStability(t *testing.T) {
 }
 
 func TestThresholdOracleRangeAndDeterminism(t *testing.T) {
-	o := NewThresholdOracle(99, 0.6, 0.8)
-	for v := int32(0); v < 100; v++ {
-		for iter := 0; iter < 50; iter++ {
-			th := o.At(v, iter)
-			if th < 0.6 || th >= 0.8 {
-				t.Fatalf("T_{%d,%d} = %v out of [0.6, 0.8)", v, iter, th)
-			}
-			if th != o.At(v, iter) {
-				t.Fatalf("T_{%d,%d} is not stable", v, iter)
+	// The second interval is empty-width: the FixedThreshold ablation,
+	// where every draw must be exactly lo.
+	for _, iv := range []struct{ lo, hi float64 }{{0.6, 0.8}, {0.7, 0.7}} {
+		o := NewThresholdOracle(99, iv.lo, iv.hi)
+		for v := int32(0); v < 100; v++ {
+			for iter := 0; iter < 50; iter++ {
+				th := o.At(v, iter)
+				if th < o.Lo() {
+					t.Fatalf("[%v, %v): T_{%d,%d} = %v below Lo", iv.lo, iv.hi, v, iter, th)
+				}
+				if th > iv.hi || (th == iv.hi && iv.hi > iv.lo) {
+					t.Fatalf("[%v, %v): T_{%d,%d} = %v above the interval", iv.lo, iv.hi, v, iter, th)
+				}
+				if th != o.At(v, iter) {
+					t.Fatalf("T_{%d,%d} is not stable", v, iter)
+				}
 			}
 		}
 	}

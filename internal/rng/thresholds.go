@@ -26,6 +26,11 @@ func NewThresholdOracle(seed uint64, lo, hi float64) ThresholdOracle {
 }
 
 // At returns T_{v,t}, the threshold for vertex v in global iteration t.
+// It never returns less than Lo(): the draw is Lo() plus a non-negative
+// offset, and rounding the sum cannot take it below Lo(). When lo == hi
+// (the fixed-threshold ablation) every draw is exactly Lo(). Callers rely
+// on this to skip the hash for any weight below Lo(), which cannot reach
+// its threshold.
 func (o ThresholdOracle) At(v int32, t int) float64 {
 	u := float64(Hash(o.seed, uint64(uint32(v)), uint64(t))>>11) / (1 << 53)
 	return o.lo + o.span*u
