@@ -178,19 +178,23 @@ func ApproxMaxWeightedMatchingMPC(wg *graph.Weighted, opts WeightedMPCOptions) (
 	if iters < 2 {
 		iters = 2
 	}
+	// EdgeList order is EdgeIndex order, so edges[id] has weight
+	// wg.W[id]. matchedW[v] is the weight of v's matched edge, read only
+	// while v is matched.
 	edges := wg.EdgeList()
+	matchedW := make([]float64, n)
 	for k := 0; k < iters; k++ {
 		b := graph.NewBuilder(n)
 		profitableCount := 0
-		for _, e := range edges {
+		for id, e := range edges {
 			conflict := 0.0
-			if mu := res.M[e[0]]; mu != -1 {
-				conflict += wg.EdgeWeight(e[0], mu)
+			if res.M[e[0]] != -1 {
+				conflict += matchedW[e[0]]
 			}
-			if mv := res.M[e[1]]; mv != -1 {
-				conflict += wg.EdgeWeight(e[1], mv)
+			if res.M[e[1]] != -1 {
+				conflict += matchedW[e[1]]
 			}
-			if wg.EdgeWeight(e[0], e[1]) > (1+eps)*conflict {
+			if wg.W[id] > (1+eps)*conflict {
 				b.AddEdge(e[0], e[1])
 				profitableCount++
 			}
@@ -217,6 +221,8 @@ func ApproxMaxWeightedMatchingMPC(wg *graph.Weighted, opts WeightedMPCOptions) (
 		}
 		for _, e := range ii.M.Edges() {
 			res.M.Match(e[0], e[1])
+			w := wg.EdgeWeight(e[0], e[1])
+			matchedW[e[0]], matchedW[e[1]] = w, w
 		}
 		res.Improvements++
 	}
