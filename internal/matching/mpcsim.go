@@ -342,21 +342,22 @@ func (st *simState) edgeWeightAt(u, v int32, now int) float64 {
 // frozen reports whether v froze already.
 func (st *simState) frozen(v int32) bool { return st.freezeIter[v] >= 0 }
 
-// canFreeze reports whether v can still reach a threshold: v is an
-// unfrozen vertex of V' with an active edge (deg), or whose frozen
-// weight frozenW already reaches lo, the lowest threshold. Without an
-// active edge a vertex's weight no longer grows, and active degrees only
-// fall, so a vertex that fails the test never passes it again.
+// canFreeze reports whether v, a vertex of V', can still reach a
+// threshold: v is unfrozen, and has an active edge (deg) or a frozen
+// weight frozenW that already reaches lo, the lowest threshold. Without
+// an active edge a vertex's weight no longer grows, and active degrees
+// only fall, so a vertex that fails the test never passes it again.
 func (st *simState) canFreeze(v int32, deg []int32, frozenW []float64, lo float64) bool {
-	return st.inV[v] && !st.frozen(v) && (deg[v] > 0 || frozenW[v] >= lo)
+	return !st.frozen(v) && (deg[v] > 0 || frozenW[v] >= lo)
 }
 
-// freezeWorklist returns, in vertex order, the vertices that can still
-// freeze, in st.work's storage.
+// freezeWorklist returns, in vertex order, the vertices of V' that can
+// still freeze, in st.work's storage. V' does not change while the list
+// is in use.
 func (st *simState) freezeWorklist(deg []int32, frozenW []float64, lo float64) []int32 {
 	work := st.work[:0]
 	for v := int32(0); v < int32(len(deg)); v++ {
-		if st.canFreeze(v, deg, frozenW, lo) {
+		if st.inV[v] && st.canFreeze(v, deg, frozenW, lo) {
 			work = append(work, v)
 		}
 	}
