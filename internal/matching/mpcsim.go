@@ -289,7 +289,7 @@ type simState struct {
 	part      []int32
 	localDeg  []int32
 	globalDeg []int32
-	work      []int32 // the freeze worklist of a phase or the direct stage
+	sched     freezeSchedule // reused by every phase and the direct stage
 }
 
 func newSimState(g *graph.Graph, eps float64, workers int) *simState {
@@ -307,7 +307,6 @@ func newSimState(g *graph.Graph, eps float64, workers int) *simState {
 		part:       make([]int32, n),
 		localDeg:   make([]int32, n),
 		globalDeg:  make([]int32, n),
-		work:       make([]int32, 0, n),
 	}
 	for i := range st.inV {
 		st.inV[i] = true
@@ -341,40 +340,6 @@ func (st *simState) edgeWeightAt(u, v int32, now int) float64 {
 
 // frozen reports whether v froze already.
 func (st *simState) frozen(v int32) bool { return st.freezeIter[v] >= 0 }
-
-// canFreeze reports whether v, a vertex of V', can still reach a
-// threshold: v is unfrozen, and has an active edge (deg) or a frozen
-// weight frozenW that already reaches lo, the lowest threshold. Without
-// an active edge a vertex's weight no longer grows, and active degrees
-// only fall, so a vertex that fails the test never passes it again.
-func (st *simState) canFreeze(v int32, deg []int32, frozenW []float64, lo float64) bool {
-	return !st.frozen(v) && (deg[v] > 0 || frozenW[v] >= lo)
-}
-
-// freezeWorklist returns, in vertex order, the vertices of V' that can
-// still freeze, in st.work's storage. V' does not change while the list
-// is in use.
-func (st *simState) freezeWorklist(deg []int32, frozenW []float64, lo float64) []int32 {
-	work := st.work[:0]
-	for v := int32(0); v < int32(len(deg)); v++ {
-		if st.inV[v] && st.canFreeze(v, deg, frozenW, lo) {
-			work = append(work, v)
-		}
-	}
-	return work
-}
-
-// keepFreezable compacts work in place to the vertices that can still
-// freeze, keeping their order.
-func (st *simState) keepFreezable(work, deg []int32, frozenW []float64, lo float64) []int32 {
-	kept := work[:0]
-	for _, v := range work {
-		if st.canFreeze(v, deg, frozenW, lo) {
-			kept = append(kept, v)
-		}
-	}
-	return kept
-}
 
 // runPhase executes one while-loop phase: partition, local simulation of
 // I iterations, end-of-phase weight reconciliation, heavy removal and
@@ -485,12 +450,18 @@ func (st *simState) runPhase(
 	// active edges carry weight w_t, so the local estimate reduces to
 	// ỹ_{v,t} = m·w_t·localDeg(v) + y_old(v).
 	frozenBefore := countFrozen(st)
-	thLo := oracle.Lo()
-	// Within a phase y_old is fixed, so the scan visits only the worklist
-	// of vertices that can still freeze (the probe scans every vertex).
-	var work []int32
+	// The freeze schedule weighs only the vertices that can freeze in an
+	// iteration; the probe scans every vertex instead.
 	if probe == nil {
-		work = st.freezeWorklist(localDeg, yold, thLo)
+		coef := st.sched.begin(iters, oracle.Lo(), localDeg, yold)
+		for i := range coef {
+			coef[i] = float64(m) * st.wAt(st.t+i)
+		}
+		for v := int32(0); v < n; v++ {
+			if part[v] >= 0 {
+				st.sched.add(v)
+			}
+		}
 	}
 	toFreeze := make([]int32, 0, 64)
 	hypoToFreeze := make([]int32, 0, 64)
@@ -499,22 +470,7 @@ func (st *simState) runPhase(
 		toFreeze = toFreeze[:0]
 		hypoToFreeze = hypoToFreeze[:0]
 		if probe == nil {
-			// The freeze predicate reads only pre-iteration state (the
-			// thresholds come from a stateless oracle), so the scan fans
-			// out; shard-order concatenation of the vertex-ordered
-			// worklist reproduces the sequential ascending-vertex
-			// candidate order exactly. No threshold is below thLo, so a
-			// lighter vertex skips the oracle's hash.
-			toFreeze = append(toFreeze, par.Collect(st.workers, len(work), func(lo, hi, _ int) []int32 {
-				var out []int32
-				for _, v := range work[lo:hi] {
-					y := float64(m)*wt*float64(localDeg[v]) + yold[v]
-					if y >= thLo && y >= oracle.At(v, st.t) {
-						out = append(out, v)
-					}
-				}
-				return out
-			})...)
+			toFreeze = st.sched.freezing(k, st.t, oracle, toFreeze)
 		} else {
 			// The probe couples the simulated and hypothetical processes
 			// with shared running statistics; it runs at conformance
@@ -555,7 +511,6 @@ func (st *simState) runPhase(
 				}
 			}
 		}
-		work = st.keepFreezable(work, localDeg, yold, thLo)
 		if probe != nil {
 			for _, v := range hypoToFreeze {
 				hypoFreeze[v] = int32(st.t)
@@ -682,11 +637,19 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 	}, func(a, b [2]int64) [2]int64 { return [2]int64{a[0] + b[0], a[1] + b[1]} })
 	activeEdges := int(acc[0] / 2)
 	activeVerts := int(acc[1])
-	thLo := oracle.Lo() // no threshold is lower, so a lighter vertex skips the hash
-	// Each iteration scans only the worklist of vertices that can still
-	// freeze; activeVerts still counts every unfrozen vertex of V'.
-	work := st.freezeWorklist(activeDeg, yFrozen, thLo)
-	maxIter := maxCentralIterations(int(n), st.eps) + st.t
+	// The freeze schedule weighs only the vertices that can freeze in an
+	// iteration; activeVerts still counts every unfrozen vertex of V'.
+	t0 := st.t
+	maxIter := maxCentralIterations(int(n), st.eps) + t0
+	coef := st.sched.begin(maxIter-t0, oracle.Lo(), activeDeg, yFrozen)
+	for i := range coef {
+		coef[i] = st.wAt(t0 + i)
+	}
+	for v := int32(0); v < n; v++ {
+		if st.inV[v] && !st.frozen(v) {
+			st.sched.add(v)
+		}
+	}
 	iters := 0
 	toFreeze := make([]int32, 0, 64)
 	// frozeNow marks the vertices freezing in the current iteration. A
@@ -699,16 +662,7 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 			return iters, fmt.Errorf("direct iteration %d: %w", iters, err)
 		}
 		wt := st.wAt(st.t)
-		toFreeze = append(toFreeze[:0], par.Collect(st.workers, len(work), func(lo, hi, _ int) []int32 {
-			var out []int32
-			for _, v := range work[lo:hi] {
-				y := wt*float64(activeDeg[v]) + yFrozen[v]
-				if y >= thLo && y >= oracle.At(v, st.t) {
-					out = append(out, v)
-				}
-			}
-			return out
-		})...)
+		toFreeze = st.sched.freezing(st.t-t0, st.t, oracle, toFreeze[:0])
 		for _, v := range toFreeze {
 			st.freezeIter[v] = int32(st.t)
 			st.cover[v] = true
@@ -740,7 +694,6 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 		for _, v := range toFreeze {
 			frozeNow[v] = false
 		}
-		work = st.keepFreezable(work, activeDeg, yFrozen, thLo)
 		st.t++
 		iters++
 	}
