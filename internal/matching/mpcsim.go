@@ -775,14 +775,24 @@ func (st *simState) finalize() *FracResult {
 				continue
 			}
 			s := 0.0
+			id := int32(-1) // the id of edge {v,u} once u > v
 			for _, u := range g.Neighbors(v) {
+				if v < u {
+					// The edges {v,u} with u > v have consecutive ids in
+					// neighbour order, so only the first needs a search.
+					if id < 0 {
+						id = ix.ID(v, u)
+					} else {
+						id++
+					}
+				}
 				if !st.inV[u] {
 					continue
 				}
 				w := st.edgeWeightAt(v, u, st.t)
 				s += w
 				if v < u {
-					res.X[ix.ID(v, u)] = w
+					res.X[id] = w
 				}
 			}
 			res.Y[v] = s
