@@ -206,13 +206,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(200)
+	// flush pushes what was written to the client. The stream is flushed
+	// once per drained snapshot of the buffer, before blocking on the
+	// next change or with the terminal marker, not once per event.
 	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the headers out before blocking on the first event, so a
-		// follower connected to a queued job sees the stream open.
-		flusher.Flush()
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
 	}
+	// Push the headers out before blocking on the first event, so a
+	// follower connected to a queued job sees the stream open.
+	flush()
 
+	// emit writes one line or SSE frame.
 	emit := func(event string, v any) bool {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -223,13 +230,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		} else {
 			_, err = fmt.Fprintf(w, "%s\n", data)
 		}
-		if err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+		return err == nil
 	}
 
 	next := 0
@@ -259,9 +260,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			}
-			emit("done", traceEndView{Done: true, State: state, Dropped: dropped})
+			if emit("done", traceEndView{Done: true, State: state, Dropped: dropped}) {
+				flush()
+			}
 			return
 		}
+		flush()
 		select {
 		case <-changed:
 		case <-r.Context().Done():

@@ -534,6 +534,74 @@ func TestTraceStreamNDJSON(t *testing.T) {
 	}
 }
 
+// TestTraceStreamLiveDelivery: a follower of a job that has not settled
+// receives every event appended so far — those buffered before it
+// connected and those appended while it waits — without waiting for the
+// job to end.
+func TestTraceStreamLiveDelivery(t *testing.T) {
+	s := idleServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, data := postJSON(t, ts.URL+"/v1/jobs", &JobRequest{
+		Problem:  "mis",
+		Scenario: &ScenarioRequest{Name: "gnp", N: 200, Seed: 4},
+		Options:  OptionsRequest{Seed: 4},
+	})
+	if resp.StatusCode != 201 {
+		t.Fatalf("submit: %s: %s", resp.Status, data)
+	}
+	job, _ := s.lookup(decodeView(t, data).ID)
+	event := func(i int) mpcgraph.TraceEvent {
+		return mpcgraph.TraceEvent{Round: i, LiveWords: int64(10 * i), ActiveVertices: 100 - i}
+	}
+	// The idle server never runs the job, so the events below are the
+	// whole stream and the job stays queued throughout.
+	job.appendTrace(event(1))
+	job.appendTrace(event(2))
+
+	streamResp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer streamResp.Body.Close()
+	// Sized to the five events of the stream, so the reader never blocks
+	// once the test stops receiving.
+	lines := make(chan string, 5)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(streamResp.Body)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+	expect := func(from, to int) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			select {
+			case line, ok := <-lines:
+				if !ok {
+					t.Fatalf("stream closed before event %d", i)
+				}
+				want, _ := json.Marshal(traceEventView{Round: i, LiveWords: int64(10 * i), ActiveVertices: 100 - i})
+				if line != string(want) {
+					t.Fatalf("event %d: got %s, want %s", i, line, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("event %d not delivered while the job is %s", i, job.currentState())
+			}
+		}
+	}
+	expect(1, 2)
+	for i := 3; i <= 5; i++ {
+		job.appendTrace(event(i))
+	}
+	expect(3, 5)
+	if st := job.currentState(); st != StateQueued {
+		t.Fatalf("job state %s, want it unsettled", st)
+	}
+}
+
 // TestTraceStreamSSE checks the Accept-negotiated framing on a
 // completed job (pure replay).
 func TestTraceStreamSSE(t *testing.T) {
