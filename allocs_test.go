@@ -25,12 +25,12 @@ func TestSolveAllocsCeiling(t *testing.T) {
 		"mis/congested-clique":                   94,    // 78
 		"maximal-matching/mpc":                   21,    // 17
 		"maximal-matching/congested-clique":      12,    // 10
-		"approx-matching/mpc":                    18200, // 15179
-		"approx-matching/congested-clique":       6300,  // 5263
-		"one-plus-eps-matching/mpc":              18200, // 15197
-		"one-plus-eps-matching/congested-clique": 6300,  // 5282
-		"vertex-cover/mpc":                       2240,  // 1864
-		"vertex-cover/congested-clique":          840,   // 700
+		"approx-matching/mpc":                    13000, // 10847
+		"approx-matching/congested-clique":       1120,  // 931
+		"one-plus-eps-matching/mpc":              13040, // 10867
+		"one-plus-eps-matching/congested-clique": 1140,  // 951
+		"vertex-cover/mpc":                       1510,  // 1257
+		"vertex-cover/congested-clique":          112,   // 93
 		"weighted-matching/mpc":                  536,   // 447
 	}
 	for _, pair := range mpcgraph.Algorithms() {
