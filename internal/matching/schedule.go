@@ -42,7 +42,6 @@ type freezeSchedule struct {
 	head []int32 // head[i]: the first vertex waiting for iteration i, -1 if none
 	next []int32 // next[v]: the vertex after v in its bucket, -1 at the end
 	hot  []int32 // the hot vertices, in vertex order
-	woke []int32 // the vertices of a due bucket that turned hot
 }
 
 // begin starts a stage of the given number of iterations, in which
@@ -111,21 +110,19 @@ func (fs *freezeSchedule) wait(v int32, i int) {
 // vertices of bucket i and then tests every hot vertex with the
 // predicate of a full scan.
 func (fs *freezeSchedule) freezing(i, t int, oracle rng.ThresholdOracle, out []int32) []int32 {
-	woke := fs.woke[:0]
+	hot := len(fs.hot)
 	for v := fs.head[i]; v >= 0; {
 		next := fs.next[v]
 		if fs.y(v, i) >= fs.lo {
-			woke = append(woke, v)
+			fs.hot = append(fs.hot, v)
 		} else {
 			fs.file(v, i)
 		}
 		v = next
 	}
-	if len(woke) > 0 {
-		slices.Sort(woke)
-		fs.hot = mergeSorted(fs.hot, woke)
+	if len(fs.hot) > hot {
+		slices.Sort(fs.hot)
 	}
-	fs.woke = woke
 
 	kept := fs.hot[:0]
 	for _, v := range fs.hot {
@@ -141,21 +138,4 @@ func (fs *freezeSchedule) freezing(i, t int, oracle rng.ThresholdOracle, out []i
 	}
 	fs.hot = kept
 	return out
-}
-
-// mergeSorted merges add into dst, both ascending and disjoint, and
-// returns the result in dst's storage.
-func mergeSorted(dst, add []int32) []int32 {
-	i, j := len(dst)-1, len(add)-1
-	dst = append(dst, add...)
-	for k := len(dst) - 1; j >= 0; k-- {
-		if i >= 0 && dst[i] > add[j] {
-			dst[k] = dst[i]
-			i--
-		} else {
-			dst[k] = add[j]
-			j--
-		}
-	}
-	return dst
 }
