@@ -21,17 +21,17 @@ func TestSolveAllocsCeiling(t *testing.T) {
 		t.Skip("allocation counts differ under the race runtime")
 	}
 	ceilings := map[string]float64{
-		"mis/mpc":                                27,    // 22
-		"mis/congested-clique":                   94,    // 78
-		"maximal-matching/mpc":                   21,    // 17
-		"maximal-matching/congested-clique":      12,    // 10
-		"approx-matching/mpc":                    13000, // 10847
-		"approx-matching/congested-clique":       1120,  // 931
-		"one-plus-eps-matching/mpc":              13040, // 10867
-		"one-plus-eps-matching/congested-clique": 1140,  // 951
-		"vertex-cover/mpc":                       1510,  // 1257
-		"vertex-cover/congested-clique":          112,   // 93
-		"weighted-matching/mpc":                  536,   // 447
+		"mis/mpc":                                27,  // 22
+		"mis/congested-clique":                   94,  // 78
+		"maximal-matching/mpc":                   12,  // 10
+		"maximal-matching/congested-clique":      12,  // 10
+		"approx-matching/mpc":                    890, // 741
+		"approx-matching/congested-clique":       840, // 700
+		"one-plus-eps-matching/mpc":              910, // 759
+		"one-plus-eps-matching/congested-clique": 865, // 720
+		"vertex-cover/mpc":                       82,  // 68
+		"vertex-cover/congested-clique":          76,  // 63
+		"weighted-matching/mpc":                  536, // 447
 	}
 	for _, pair := range mpcgraph.Algorithms() {
 		t.Run(pair.String(), func(t *testing.T) {

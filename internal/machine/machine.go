@@ -30,7 +30,8 @@
 // message counts, delivery cursors, per-pair budget tallies) across
 // rounds, and delivers each round's messages out of a single flat arena
 // allocation sliced per receiver, instead of one allocation per inbox.
-// Outboxes for charge-style callers are pooled via Outboxes.
+// Charge-style callers take pooled outboxes from Outboxes, or pooled
+// per-node load tallies from Loads.
 package machine
 
 import (
@@ -143,6 +144,7 @@ type Core struct {
 	pairWords  [][]int64 // lazily allocated per-shard pair tallies
 	pairTouch  [][]int   // per-shard scratch listing the dirtied tallies
 	outbox     [][]Message
+	loads      []int64 // lazily allocated out and in tallies of Loads, back to back
 	released   bool
 }
 
@@ -186,6 +188,7 @@ func NewCore(cfg Config) *Core {
 		shardAux:   grow(c.shardAux, shards),
 		shardViol:  grow(c.shardViol, shards),
 		outbox:     c.outbox,
+		loads:      c.loads,
 		// pairWords/pairTouch stay lazily allocated: their shape depends
 		// on the spec of the first budgeted Route, and only clique-style
 		// callers ever need them.
@@ -295,6 +298,17 @@ func (c *Core) Outboxes() [][]Message {
 		c.outbox[i] = c.outbox[i][:0]
 	}
 	return c.outbox
+}
+
+// Loads returns pooled per-node word tallies, zeroed, for charge-style
+// callers that compute a step's loads instead of materializing its
+// messages: out[i] for what node i sends, in[j] for what node j
+// receives. They stay valid until the next Loads call on this core.
+func (c *Core) Loads() (out, in []int64) {
+	n := c.cfg.Nodes
+	c.loads = grow(c.loads, 2*n)
+	clear(c.loads)
+	return c.loads[:n:n], c.loads[n:]
 }
 
 // Route executes one metered communication step: it validates and

@@ -144,47 +144,33 @@ func newMPCMeter(cfg Config) (*mpcMeter, error) {
 	return &mpcMeter{cluster: cluster}, nil
 }
 
-// Shuffle meters the phase-start repartitioning: machine i's inbox is
+// Shuffle meters the phase-start repartitioning: machine j's inbox is
 // its induced subgraph, delivered from the edges' previous homes. The
 // senders are modeled as the m previous holders contributing equal
-// shares; the audited quantity is the receiving machine's load.
+// shares (the first w mod m of them one word more); the audited
+// quantity is the receiving machine's load.
 func (mm *mpcMeter) Shuffle(m int, inducedWords []int64) error {
-	out := mm.cluster.Outboxes()
+	out, in := mm.cluster.Loads()
+	var share int64
 	for j := 0; j < m; j++ {
 		w := inducedWords[j]
-		if w == 0 {
-			continue
-		}
-		share := w / int64(m)
-		rem := w % int64(m)
-		for i := 0; i < m; i++ {
-			words := share
-			if int64(i) < rem {
-				words++
-			}
-			if words > 0 {
-				out[i] = append(out[i], mpc.Message{To: j, Words: words})
-			}
+		in[j] = w
+		share += w / int64(m)
+		for i := int64(0); i < w%int64(m); i++ {
+			out[i]++
 		}
 	}
-	_, err := mm.cluster.Exchange(out)
-	return err
+	for i := 0; i < m; i++ {
+		out[i] += share
+	}
+	return mm.cluster.ChargeLoads(out, in)
 }
 
 // ResultSync meters the end-of-phase freeze synchronization: a gather
-// of the frozen list followed by a broadcast.
+// of the frozen list from the m phase machines to machine 0, followed
+// by a broadcast.
 func (mm *mpcMeter) ResultSync(m int, frozenWords int64) error {
-	parts := make([]mpc.Message, mm.cluster.Machines())
-	share := frozenWords / int64(m)
-	rem := frozenWords % int64(m)
-	for i := 0; i < m; i++ {
-		w := share
-		if int64(i) < rem {
-			w++
-		}
-		parts[i] = mpc.Message{Words: w}
-	}
-	if _, err := mm.cluster.GatherTo(0, parts); err != nil {
+	if err := mm.gather(m, frozenWords); err != nil {
 		return err
 	}
 	_, err := mm.cluster.BroadcastFrom(0, frozenWords, nil)
@@ -193,39 +179,42 @@ func (mm *mpcMeter) ResultSync(m int, frozenWords int64) error {
 
 // DirectRound meters one direct Central-Rand iteration: every active
 // edge carries one word each way between the machines hosting its
-// endpoints, as 2·activeEdges words spread evenly across machine pairs.
+// endpoints, as 2·activeEdges words spread evenly over the machines,
+// each sending its share to the next machine of a ring.
 func (mm *mpcMeter) DirectRound(activeEdges int64) error {
 	m := mm.cluster.Machines()
-	out := mm.cluster.Outboxes()
+	out, in := mm.cluster.Loads()
 	words := 2 * activeEdges
-	per := words / int64(m)
-	rem := words % int64(m)
+	per, rem := words/int64(m), words%int64(m)
 	for i := 0; i < m; i++ {
 		w := per
 		if int64(i) < rem {
 			w++
 		}
-		if w > 0 {
-			out[i] = append(out[i], mpc.Message{To: (i + 1) % m, Words: w})
-		}
+		out[i] = w
+		in[(i+1)%m] = w
 	}
-	_, err := mm.cluster.Exchange(out)
-	return err
+	return mm.cluster.ChargeLoads(out, in)
 }
 
 func (mm *mpcMeter) Gather(words int64) error {
-	m := mm.cluster.Machines()
-	parts := make([]mpc.Message, m)
+	return mm.gather(mm.cluster.Machines(), words)
+}
+
+// gather charges one round in which the first m machines send words
+// words to machine 0 in equal shares, the first words mod m of them one
+// word more.
+func (mm *mpcMeter) gather(m int, words int64) error {
+	out, in := mm.cluster.Loads()
 	share, rem := words/int64(m), words%int64(m)
 	for i := 0; i < m; i++ {
-		w := share
+		out[i] = share
 		if int64(i) < rem {
-			w++
+			out[i]++
 		}
-		parts[i] = mpc.Message{Words: w}
 	}
-	_, err := mm.cluster.GatherTo(0, parts)
-	return err
+	in[0] = words
+	return mm.cluster.ChargeLoads(out, in)
 }
 
 func (mm *mpcMeter) SetActive(vertices int) { mm.cluster.SetActive(vertices) }

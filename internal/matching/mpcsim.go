@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"mpcgraph/internal/graph"
 	"mpcgraph/internal/machine/meter"
@@ -270,6 +271,17 @@ func phaseIterations(m int, eps float64, opts SimOptions) int {
 }
 
 // simState is the global algorithm state shared by phases.
+//
+// Besides V' and the freeze iterations it carries, for every unfrozen
+// v ∈ V', the two quantities a phase starts from: deg[v], the number of
+// unfrozen neighbours of v in V', and yold[v], the weight of v's edges
+// to frozen vertices of V' summed in neighbour order. Both change only
+// when a neighbour freezes or leaves V', so each freeze and each
+// removal updates them at its own neighbours: deg is decremented
+// (integer counts commute) and yold is marked dirty, to be summed again
+// in neighbour order before it is next read. A clean yold has the same
+// terms in the same order as a fresh sum, so it has the same bits.
+// Neither is meaningful for a frozen or removed vertex.
 type simState struct {
 	g       *graph.Graph
 	eps     float64
@@ -281,15 +293,22 @@ type simState struct {
 	freezeIter []int32 // iteration at which v froze; -1 while active
 	cover      []bool  // frozen ∪ removed
 
+	deg   []int32   // unfrozen neighbours in V'
+	yold  []float64 // weight of the edges to frozen vertices of V'
+	dirty []bool    // yold must be summed again
+
 	pow []float64 // pow[t] = (1-eps)^(-t), grown on demand
 
-	// Per-phase scratch, allocated once and re-zeroed each phase so the
-	// phase loop stays allocation-free in steady state.
-	yold      []float64
-	part      []int32
-	localDeg  []int32
-	globalDeg []int32
-	sched     freezeSchedule // reused by every phase and the direct stage
+	// Per-phase scratch, allocated once and overwritten each phase so the
+	// phase loop stays allocation-free in steady state. Entries of
+	// vertices outside the phase's active set are stale.
+	part     []int32
+	localDeg []int32
+	deg0     []int32        // deg at the phase start
+	induced  []int64        // per-machine induced-subgraph words
+	cand     []int32        // vertices whose y the phase end forms
+	candY    []float64      // their y, index-aligned with cand
+	sched    freezeSchedule // reused by every phase and the direct stage
 }
 
 func newSimState(g *graph.Graph, eps float64, workers int) *simState {
@@ -302,15 +321,18 @@ func newSimState(g *graph.Graph, eps float64, workers int) *simState {
 		inV:        make([]bool, n),
 		freezeIter: make([]int32, n),
 		cover:      make([]bool, n),
-		pow:        []float64{1},
+		deg:        make([]int32, n),
 		yold:       make([]float64, n),
+		dirty:      make([]bool, n),
+		pow:        []float64{1},
 		part:       make([]int32, n),
 		localDeg:   make([]int32, n),
-		globalDeg:  make([]int32, n),
+		deg0:       make([]int32, n),
 	}
-	for i := range st.inV {
-		st.inV[i] = true
-		st.freezeIter[i] = -1
+	for v := range st.inV {
+		st.inV[v] = true
+		st.freezeIter[v] = -1
+		st.deg[v] = int32(g.Degree(int32(v)))
 	}
 	return st
 }
@@ -341,6 +363,55 @@ func (st *simState) edgeWeightAt(u, v int32, now int) float64 {
 // frozen reports whether v froze already.
 func (st *simState) frozen(v int32) bool { return st.freezeIter[v] >= 0 }
 
+// frozenWeight returns the weight of v's edges to frozen vertices of
+// V', summed in neighbour order: y_old of Line (b) for an unfrozen v.
+func (st *simState) frozenWeight(v int32) float64 {
+	s := 0.0
+	for _, u := range st.g.Neighbors(v) {
+		if st.inV[u] && st.frozen(u) {
+			s += st.wAt(int(st.freezeIter[u]))
+		}
+	}
+	return s
+}
+
+// weight returns v's weight over G[V'] at the current iteration, summed
+// in neighbour order: y^MPC of Lines (g)-(h).
+func (st *simState) weight(v int32) float64 {
+	s := 0.0
+	for _, u := range st.g.Neighbors(v) {
+		if st.inV[u] {
+			s += st.edgeWeightAt(v, u, st.t)
+		}
+	}
+	return s
+}
+
+// detach records at v's neighbours in V' that v froze or left V': their
+// yold must be summed again, and their deg drops if v was unfrozen.
+func (st *simState) detach(v int32, wasUnfrozen bool) {
+	for _, u := range st.g.Neighbors(v) {
+		if st.inV[u] {
+			st.dirty[u] = true
+			if wasUnfrozen {
+				st.deg[u]--
+			}
+		}
+	}
+}
+
+const (
+	// heavyTol is the slack of Line (i): a vertex leaves V' when its
+	// weight exceeds 1+heavyTol.
+	heavyTol = 1e-12
+	// boundSlack covers the rounding of the phase end's weight bound. It
+	// is more than twice the relative rounding error of any float sum of
+	// fewer than 2³¹ non-negative terms, so a bound times 1+boundSlack is
+	// never below the weight it bounds, whichever of the two sums rounds
+	// up.
+	boundSlack = 1e-6
+)
+
 // runPhase executes one while-loop phase: partition, local simulation of
 // I iterations, end-of-phase weight reconciliation, heavy removal and
 // late freezing (Lines (a)-(j) of the pseudocode).
@@ -355,12 +426,9 @@ func (st *simState) runPhase(
 	n := int32(g.NumVertices())
 	stat := PhaseStat{Machines: m, Iterations: iters}
 
-	// Line (b): y_old — weight of already-frozen edges at each active
-	// vertex. Line (d): partition active vertices onto m machines. The
-	// partition draw consumes a sequential RNG stream, so it stays on
-	// one goroutine; everything after it is a read-only scan.
-	yold, part := st.yold, st.part
-	localDeg, globalDeg := st.localDeg, st.globalDeg // globalDeg feeds the probe's exact process
+	// Line (d): partition the active vertices onto m machines. The draw
+	// consumes a sequential RNG stream, so it stays on one goroutine.
+	part, localDeg, deg0 := st.part, st.localDeg, st.deg0
 	activeCount := 0
 	for v := int32(0); v < n; v++ {
 		part[v] = -1
@@ -371,62 +439,51 @@ func (st *simState) runPhase(
 	}
 	mt.SetActive(activeCount)
 	// wAt grows its memo lazily; pre-grow it to the deepest iteration the
-	// phase can reference so the parallel scan only reads it.
+	// phase can reference so the parallel pass only reads it.
 	st.wAt(st.t + iters)
-	shards := par.ShardCount(st.workers, int(n))
-	shardWords := make([][]int64, shards)
-	for w := range shardWords {
-		shardWords[w] = make([]int64, m)
-	}
-	par.For(st.workers, int(n), func(lo, hi, w int) {
-		words := shardWords[w]
+	// Line (b): y_old is summed again only where a freeze or removal
+	// changed it. The same pass counts each active vertex's neighbours on
+	// its own machine; a vertex off the active set has part -1.
+	par.For(st.workers, int(n), func(lo, hi, _ int) {
 		for v := int32(lo); v < int32(hi); v++ {
-			yold[v] = 0
-			localDeg[v] = 0
-			globalDeg[v] = 0
-			if !st.inV[v] || st.frozen(v) {
+			p := part[v]
+			if p < 0 {
 				continue
 			}
-			words[part[v]]++
+			if st.dirty[v] {
+				st.yold[v] = st.frozenWeight(v)
+				st.dirty[v] = false
+			}
+			local := int32(0)
 			for _, u := range g.Neighbors(v) {
-				if !st.inV[u] {
-					continue
-				}
-				if st.frozen(u) {
-					yold[v] += st.wAt(int(st.freezeIter[u]))
-					continue
-				}
-				globalDeg[v]++
-				if part[u] == part[v] {
-					localDeg[v]++
-					if v < u {
-						words[part[v]] += 2
-					}
+				if part[u] == p {
+					local++
 				}
 			}
+			localDeg[v] = local
+			deg0[v] = st.deg[v]
 		}
 	})
-	inducedWords := make([]int64, m)
-	for _, words := range shardWords {
-		for j, w := range words {
-			inducedWords[j] += w
-		}
-	}
-	for _, w := range inducedWords {
-		if w > stat.MaxInducedWords {
-			stat.MaxInducedWords = w
-		}
-	}
+	// Machine i's induced subgraph takes |V_i| + 2|E(G'[V_i])| words: one
+	// per vertex plus its local degree, which counts each local edge once
+	// from either end.
+	induced := slices.Grow(st.induced[:0], m)[:m]
+	st.induced = induced
+	clear(induced)
 	for v := int32(0); v < n; v++ {
-		if int(globalDeg[v]) > stat.MaxActiveDegree {
-			stat.MaxActiveDegree = int(globalDeg[v])
+		if p := part[v]; p >= 0 {
+			induced[p] += 1 + int64(localDeg[v])
+			stat.MaxActiveDegree = max(stat.MaxActiveDegree, int(deg0[v]))
 		}
+	}
+	for _, w := range induced {
+		stat.MaxInducedWords = max(stat.MaxInducedWords, w)
 	}
 
 	// Charge the shuffle round: edges travel from their hash-home to the
 	// owner machine of their partition class; the inbox of machine i is
 	// exactly its induced subgraph (the Lemma 4.7 audit).
-	if err := mt.Shuffle(m, inducedWords); err != nil {
+	if err := mt.Shuffle(m, induced); err != nil {
 		return stat, err
 	}
 
@@ -434,12 +491,16 @@ func (st *simState) runPhase(
 	// global state, per Section 4.4's coupling. hypoFreeze records the
 	// iteration at which the hypothetical process froze each vertex
 	// (-1 while active), so the Definition 4.12 weight difference is
-	// computable at phase end.
-	var hypoFreeze []int32
+	// computable at phase end; hypoDeg is its active degree.
+	var hypoFreeze, hypoDeg []int32
 	if probe != nil {
 		hypoFreeze = make([]int32, n)
-		for i := range hypoFreeze {
-			hypoFreeze[i] = -1
+		hypoDeg = make([]int32, n)
+		for v := range hypoFreeze {
+			hypoFreeze[v] = -1
+			if part[v] >= 0 {
+				hypoDeg[v] = deg0[v]
+			}
 		}
 		probe.PhaseMaxDev = append(probe.PhaseMaxDev, 0)
 		probe.PhaseBad = append(probe.PhaseBad, 0)
@@ -449,7 +510,7 @@ func (st *simState) runPhase(
 	// Line (e): simulate I iterations on every machine in parallel. All
 	// active edges carry weight w_t, so the local estimate reduces to
 	// ỹ_{v,t} = m·w_t·localDeg(v) + y_old(v).
-	frozenBefore := countFrozen(st)
+	yold := st.yold
 	// The freeze schedule weighs only the vertices that can freeze in an
 	// iteration; the probe scans every vertex instead.
 	if probe == nil {
@@ -485,7 +546,7 @@ func (st *simState) runPhase(
 					toFreeze = append(toFreeze, v)
 				}
 				if hypoFreeze[v] < 0 {
-					yExact := wt*float64(globalDeg[v]) + yold[v]
+					yExact := wt*float64(hypoDeg[v]) + yold[v]
 					probe.Compared++
 					dev := math.Abs(yExact - yTilde)
 					if dev > probe.PhaseMaxDev[len(probe.PhaseMaxDev)-1] {
@@ -504,21 +565,29 @@ func (st *simState) runPhase(
 			st.freezeIter[v] = int32(st.t)
 			st.cover[v] = true
 		}
+		// The freezes update the carried state as detach does, and the
+		// local degrees on the frozen vertices' machines.
 		for _, v := range toFreeze {
 			for _, u := range g.Neighbors(v) {
-				if st.inV[u] && part[u] == part[v] && localDeg[u] > 0 {
+				if !st.inV[u] {
+					continue
+				}
+				st.deg[u]--
+				st.dirty[u] = true
+				if part[u] == part[v] && localDeg[u] > 0 {
 					localDeg[u]--
 				}
 			}
 		}
+		stat.Frozen += len(toFreeze)
 		if probe != nil {
 			for _, v := range hypoToFreeze {
 				hypoFreeze[v] = int32(st.t)
 			}
 			for _, v := range hypoToFreeze {
 				for _, u := range g.Neighbors(v) {
-					if st.inV[u] && hypoFreeze[u] < 0 && globalDeg[u] > 0 {
-						globalDeg[u]--
+					if st.inV[u] && hypoFreeze[u] < 0 && hypoDeg[u] > 0 {
+						hypoDeg[u]--
 					}
 				}
 			}
@@ -568,33 +637,55 @@ func (st *simState) runPhase(
 
 	// Charge the result exchange: frozen (v, iteration) pairs are
 	// gathered and redistributed (1 gather + broadcast).
-	frozenNow := countFrozen(st)
-	frozenWords := int64(2 * (frozenNow - frozenBefore))
-	if err := mt.ResultSync(m, frozenWords); err != nil {
+	if err := mt.ResultSync(m, int64(2*stat.Frozen)); err != nil {
 		return stat, err
 	}
 
 	// Lines (g)-(h): reconcile edge weights from freeze iterations and
-	// compute y^MPC over G[V'].
-	y := st.computeY()
+	// form y^MPC over G[V'] where it can cross a threshold. Only vertices
+	// active at the phase start can. A vertex frozen earlier passed
+	// Line (i) with its edge weights fixed, and V' only shrinks since:
+	// dropping a non-negative term from a fixed-order float sum cannot
+	// raise it. Every other vertex has y ≤ y_old + deg0·w_t, since each
+	// edge active at the phase start weighs at most w_t; y is formed where
+	// that bound, with rounding slack, exceeds the vertex's threshold:
+	// 1-2ε for Line (j), or 1+heavyTol for Line (i) if it froze in this
+	// phase.
+	wt := st.wAt(st.t)
+	cand, candY := st.cand[:0], st.candY[:0]
+	for v := int32(0); v < n; v++ {
+		if part[v] < 0 {
+			continue
+		}
+		limit := 1 - 2*st.eps
+		if st.frozen(v) {
+			limit = 1 + heavyTol
+		}
+		if (yold[v]+float64(deg0[v])*wt)*(1+boundSlack) > limit {
+			cand = append(cand, v)
+			candY = append(candY, st.weight(v))
+		}
+	}
+	st.cand, st.candY = cand, candY
 	// Line (i): remove heavy vertices (y > 1) from V'; they join the
 	// reported cover.
-	const heavyTol = 1e-12
-	for v := int32(0); v < n; v++ {
-		if st.inV[v] && y[v] > 1+heavyTol {
+	for k, v := range cand {
+		if candY[k] > 1+heavyTol {
 			st.inV[v] = false
 			st.cover[v] = true
 			stat.RemovedHeavy++
+			st.detach(v, !st.frozen(v))
 		}
 	}
 	// Line (j): freeze vertices with y > 1-2ε.
-	for v := int32(0); v < n; v++ {
-		if st.inV[v] && !st.frozen(v) && y[v] > 1-2*st.eps {
+	for k, v := range cand {
+		if st.inV[v] && !st.frozen(v) && candY[k] > 1-2*st.eps {
 			st.freezeIter[v] = int32(st.t)
 			st.cover[v] = true
+			stat.Frozen++
+			st.detach(v, true)
 		}
 	}
-	stat.Frozen = countFrozen(st) - frozenBefore
 	return stat, nil
 }
 
@@ -604,39 +695,25 @@ func (st *simState) runPhase(
 func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, error) {
 	g := st.g
 	n := int32(g.NumVertices())
-	// Initialize exact incremental state. Each vertex gathers its own
-	// frozen-weight sum and active degree (both endpoints see each edge),
-	// so the scan fans out with per-vertex float sums kept whole.
-	yFrozen := make([]float64, n)
-	activeDeg := make([]int32, n)
+	// The stage starts from the carried state and then keeps it
+	// incrementally as its own: for an unfrozen v in V', deg[v] is the
+	// active degree and yold[v], once summed again where dirty, the
+	// frozen weight.
+	yFrozen, activeDeg := st.yold, st.deg
 	st.wAt(st.t) // pre-grow the weight memo
-	acc := par.Reduce(st.workers, int(n), func(lo, hi, _ int) [2]int64 {
-		var active, verts int64
-		for v := int32(lo); v < int32(hi); v++ {
-			if !st.inV[v] {
-				continue
-			}
-			if !st.frozen(v) {
-				verts++
-			}
-			s := 0.0
-			for _, u := range g.Neighbors(v) {
-				if !st.inV[u] {
-					continue
-				}
-				if st.frozen(v) || st.frozen(u) {
-					s += st.edgeWeightAt(v, u, st.t)
-				} else {
-					activeDeg[v]++
-					active++
-				}
-			}
-			yFrozen[v] = s
+	activeEdges, activeVerts := 0, 0
+	for v := int32(0); v < n; v++ {
+		if !st.inV[v] || st.frozen(v) {
+			continue
 		}
-		return [2]int64{active, verts}
-	}, func(a, b [2]int64) [2]int64 { return [2]int64{a[0] + b[0], a[1] + b[1]} })
-	activeEdges := int(acc[0] / 2)
-	activeVerts := int(acc[1])
+		if st.dirty[v] {
+			yFrozen[v] = st.frozenWeight(v)
+			st.dirty[v] = false
+		}
+		activeVerts++
+		activeEdges += int(activeDeg[v])
+	}
+	activeEdges /= 2
 	// The freeze schedule weighs only the vertices that can freeze in an
 	// iteration; activeVerts still counts every unfrozen vertex of V'.
 	t0 := st.t
@@ -725,33 +802,6 @@ func (st *simState) hasActiveEdge(v int32) bool {
 	return false
 }
 
-// computeY returns y^MPC over G[V'] at the current iteration. Each
-// vertex gathers its own incident weights (every edge weight is
-// recomputed on both sides), so the per-vertex float sums are formed
-// entirely inside one loop body and the result is bit-identical for
-// every worker count.
-func (st *simState) computeY() []float64 {
-	g := st.g
-	n := g.NumVertices()
-	y := make([]float64, n)
-	st.wAt(st.t) // pre-grow the weight memo so the scan only reads it
-	par.For(st.workers, n, func(lo, hi, _ int) {
-		for v := int32(lo); v < int32(hi); v++ {
-			if !st.inV[v] {
-				continue
-			}
-			s := 0.0
-			for _, u := range g.Neighbors(v) {
-				if st.inV[u] {
-					s += st.edgeWeightAt(v, u, st.t)
-				}
-			}
-			y[v] = s
-		}
-	})
-	return y
-}
-
 // finalize assembles the fractional matching output: edges inside the
 // final V' carry their reconciled weights; edges touching removed
 // vertices carry zero (they are covered by the removed endpoints).
@@ -774,39 +824,22 @@ func (st *simState) finalize() *FracResult {
 			if !st.inV[v] {
 				continue
 			}
+			// The edges {v,u} with u > v have consecutive ids in
+			// neighbour order, from v's upper suffix on.
+			upper, id := ix.Upper(v)
 			s := 0.0
-			id := int32(-1) // the id of edge {v,u} once u > v
-			for _, u := range g.Neighbors(v) {
-				if v < u {
-					// The edges {v,u} with u > v have consecutive ids in
-					// neighbour order, so only the first needs a search.
-					if id < 0 {
-						id = ix.ID(v, u)
-					} else {
-						id++
-					}
-				}
+			for k, u := range g.Neighbors(v) {
 				if !st.inV[u] {
 					continue
 				}
 				w := st.edgeWeightAt(v, u, st.t)
 				s += w
-				if v < u {
-					res.X[id] = w
+				if k >= upper {
+					res.X[id+int32(k-upper)] = w
 				}
 			}
 			res.Y[v] = s
 		}
 	})
 	return res
-}
-
-func countFrozen(st *simState) int {
-	c := 0
-	for v := range st.freezeIter {
-		if st.freezeIter[v] >= 0 {
-			c++
-		}
-	}
-	return c
 }

@@ -28,8 +28,15 @@ func RoundFractional(g *graph.Graph, frac *FracResult, candidate []bool, src *rn
 		}
 		r := src.Float64()
 		acc := 0.0
-		for _, u := range g.Neighbors(v) {
-			x := frac.X[frac.Ix.ID(v, u)]
+		// Only the edges {v,u} with u < v need a search: the others have
+		// consecutive ids from v's upper suffix on.
+		upper, first := frac.Ix.Upper(v)
+		for k, u := range g.Neighbors(v) {
+			id := first + int32(k-upper)
+			if k < upper {
+				id = frac.Ix.ID(u, v)
+			}
+			x := frac.X[id]
 			if x <= 0 {
 				continue
 			}

@@ -13,7 +13,8 @@ import (
 // same shape must run in a constant, near-zero number of allocations.
 // This is the property the PR 9 daemon work bought — per-Solve scratch
 // comes from a pool and round bodies reuse it — and the ceiling keeps a
-// per-round make() from regressing it. Skipped under race.
+// per-round make() from regressing it. A load charge, which builds no
+// messages, must allocate nothing at all. Skipped under race.
 func TestRoutingAllocsCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under the race runtime")
@@ -66,5 +67,24 @@ func TestRoutingAllocsCeiling(t *testing.T) {
 	const volCeiling = 16
 	if allocs > volCeiling {
 		t.Errorf("ChargeVolumeMatrix: %.0f allocs/op steady state, ceiling %d", allocs, volCeiling)
+	}
+
+	// A load charge builds no messages: once Loads has sized its pooled
+	// tallies, a round allocates nothing.
+	charge := func() {
+		sent, received := c.Loads()
+		for i := range out {
+			for _, msg := range out[i] {
+				sent[i] += msg.Words
+				received[msg.To] += msg.Words
+			}
+		}
+		if err := c.ChargeLoads(sent, received); err != nil {
+			t.Fatal(err)
+		}
+	}
+	charge()
+	if allocs = testing.AllocsPerRun(10, charge); allocs > 0 {
+		t.Errorf("ChargeLoads: %.0f allocs/op steady state, ceiling 0", allocs)
 	}
 }

@@ -47,9 +47,10 @@ type Config struct {
 	// making long simulated runs cancellable between rounds.
 	Ctx context.Context
 	// Trace, when non-nil, receives one TraceEvent per metered
-	// communication step (Exchange and the primitives built on it emit
-	// one event each; BroadcastFrom emits one event covering its two
-	// rounds). Tracing never changes results, metrics or errors.
+	// communication step (Exchange, ChargeLoads and the primitives built
+	// on Exchange emit one event each; BroadcastFrom emits one event
+	// covering its two rounds). Tracing never changes results, metrics
+	// or errors.
 	Trace model.TraceFunc
 }
 
@@ -148,12 +149,11 @@ func (c *Cluster) Machines() int { return c.cfg.Machines }
 // observers can correlate round costs with algorithmic progress.
 func (c *Cluster) SetActive(vertices int) { c.core.SetActive(vertices) }
 
-// Outboxes returns a pooled outbox set (one empty slice per machine,
-// capacity retained across calls) for callers that materialize
-// synthetic messages every round, e.g. the charge helpers of the
-// metered algorithms. The contents are consumed by the next Exchange on
-// this cluster; callers must not retain them.
-func (c *Cluster) Outboxes() [][]Message { return c.core.Outboxes() }
+// Loads returns pooled per-machine word tallies, zeroed, for callers
+// that charge a round from its loads with ChargeLoads: out[i] for what
+// machine i sends, in[j] for what machine j receives. They stay valid
+// until the next Loads call on this cluster.
+func (c *Cluster) Loads() (out, in []int64) { return c.core.Loads() }
 
 // audit is the MPC capacity policy: a per-round per-machine load above S
 // (when S is bounded) is a violation.
@@ -282,6 +282,61 @@ func (c *Cluster) ChargeVolumeMatrix(vol []int64) ([][]Message, error) {
 		}
 	})
 	return c.Exchange(out)
+}
+
+// ChargeLoads executes one round described by its per-machine loads:
+// machine i sends out[i] words and machine j receives in[j]. It is the
+// load form of Exchange for callers whose messages matter only through
+// those loads, and charges exactly what Exchange of any message set with
+// the same loads would: the round, the total volume, one trace event,
+// then the outbox audits in machine order and the inbox audits, so
+// metrics, trace events and strict-mode errors match. The loads must be
+// non-negative and balance (the same total sent as received).
+func (c *Cluster) ChargeLoads(out, in []int64) error {
+	m := c.cfg.Machines
+	if len(out) != m || len(in) != m {
+		return fmt.Errorf("mpc: ChargeLoads got %d out and %d in loads for %d machines", len(out), len(in), m)
+	}
+	var total, received int64
+	for i := 0; i < m; i++ {
+		if out[i] < 0 || in[i] < 0 {
+			return fmt.Errorf("mpc: machine %d has a negative load", i)
+		}
+		total += out[i]
+		received += in[i]
+	}
+	if total != received {
+		return fmt.Errorf("mpc: ChargeLoads sends %d words but receives %d", total, received)
+	}
+	if err := c.core.Interrupted(); err != nil {
+		return err
+	}
+	c.core.AddRounds(1)
+	c.core.AddTotal(total)
+	c.core.Emit(total)
+	round := c.core.Rounds()
+	var firstErr error
+	charge := func(loads []int64, in bool) {
+		for i, w := range loads {
+			if in {
+				c.core.ObserveIn(w)
+			} else {
+				c.core.ObserveOut(w)
+			}
+			if err := c.audit(round, i, w, in); err != nil {
+				c.core.Violation()
+				if firstErr == nil {
+					firstErr = err
+				}
+			}
+		}
+	}
+	charge(out, false)
+	charge(in, true)
+	if firstErr != nil && c.cfg.Strict {
+		return firstErr
+	}
+	return nil
 }
 
 // PartitionVertices assigns each of n vertices to one of m machines
