@@ -144,31 +144,34 @@ func newMPCMeter(cfg Config) (*mpcMeter, error) {
 	return &mpcMeter{cluster: cluster}, nil
 }
 
+// spread adds words to loads in equal shares, the first
+// words mod len(loads) of them one word more.
+func spread(loads []int64, words int64) {
+	share, rem := words/int64(len(loads)), words%int64(len(loads))
+	for i := range loads {
+		loads[i] += share
+		if int64(i) < rem {
+			loads[i]++
+		}
+	}
+}
+
 // Shuffle meters the phase-start repartitioning: machine j's inbox is
 // its induced subgraph, delivered from the edges' previous homes. The
 // senders are modeled as the m previous holders contributing equal
-// shares (the first w mod m of them one word more); the audited
-// quantity is the receiving machine's load.
+// shares; the audited quantity is the receiving machine's load.
 func (mm *mpcMeter) Shuffle(m int, inducedWords []int64) error {
 	out, in := mm.cluster.Loads()
-	var share int64
-	for j := 0; j < m; j++ {
-		w := inducedWords[j]
+	for j, w := range inducedWords[:m] {
 		in[j] = w
-		share += w / int64(m)
-		for i := int64(0); i < w%int64(m); i++ {
-			out[i]++
-		}
-	}
-	for i := 0; i < m; i++ {
-		out[i] += share
+		spread(out[:m], w)
 	}
 	return mm.cluster.ChargeLoads(out, in)
 }
 
 // ResultSync meters the end-of-phase freeze synchronization: a gather
-// of the frozen list from the m phase machines to machine 0, followed
-// by a broadcast.
+// of the frozen list from the m phase machines, followed by a
+// broadcast.
 func (mm *mpcMeter) ResultSync(m int, frozenWords int64) error {
 	if err := mm.gather(m, frozenWords); err != nil {
 		return err
@@ -184,14 +187,8 @@ func (mm *mpcMeter) ResultSync(m int, frozenWords int64) error {
 func (mm *mpcMeter) DirectRound(activeEdges int64) error {
 	m := mm.cluster.Machines()
 	out, in := mm.cluster.Loads()
-	words := 2 * activeEdges
-	per, rem := words/int64(m), words%int64(m)
-	for i := 0; i < m; i++ {
-		w := per
-		if int64(i) < rem {
-			w++
-		}
-		out[i] = w
+	spread(out, 2*activeEdges)
+	for i, w := range out {
 		in[(i+1)%m] = w
 	}
 	return mm.cluster.ChargeLoads(out, in)
@@ -202,17 +199,10 @@ func (mm *mpcMeter) Gather(words int64) error {
 }
 
 // gather charges one round in which the first m machines send words
-// words to machine 0 in equal shares, the first words mod m of them one
-// word more.
+// words to machine 0 in equal shares.
 func (mm *mpcMeter) gather(m int, words int64) error {
 	out, in := mm.cluster.Loads()
-	share, rem := words/int64(m), words%int64(m)
-	for i := 0; i < m; i++ {
-		out[i] = share
-		if int64(i) < rem {
-			out[i]++
-		}
-	}
+	spread(out[:m], words)
 	in[0] = words
 	return mm.cluster.ChargeLoads(out, in)
 }
