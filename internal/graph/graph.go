@@ -119,7 +119,6 @@ func (g *Graph) EdgeList() [][2]int32 {
 type EdgeIndex struct {
 	g     *Graph
 	start []int32 // start[u] = id of the first edge whose smaller endpoint is u
-	upper []int32 // upper[u] = position in Neighbors(u) of the first neighbour > u
 }
 
 // NewEdgeIndex builds the edge index for g in O(n + m) on all cores;
@@ -131,21 +130,19 @@ func NewEdgeIndex(g *Graph) *EdgeIndex {
 // NewEdgeIndexWorkers is NewEdgeIndex with an explicit Workers knob
 // (0 = all cores, 1 = sequential).
 func NewEdgeIndexWorkers(g *Graph, workers int) *EdgeIndex {
-	buf := make([]int32, 2*g.n+1) // one allocation for both tables
-	start, upper := buf[:g.n+1:g.n+1], buf[g.n+1:]
+	start := make([]int32, g.n+1)
 	par.For(workers, g.n, func(lo, hi, _ int) {
 		for u := int32(lo); u < int32(hi); u++ {
 			nb := g.Neighbors(u)
 			// Neighbors are sorted, so the ones greater than u form a suffix.
 			i := sort.Search(len(nb), func(i int) bool { return nb[i] > u })
-			upper[u] = int32(i)
 			start[u+1] = int32(len(nb) - i)
 		}
 	})
 	for u := 0; u < g.n; u++ {
 		start[u+1] += start[u]
 	}
-	return &EdgeIndex{g: g, start: start, upper: upper}
+	return &EdgeIndex{g: g, start: start}
 }
 
 // ID returns the dense id of edge {u, v}. It panics if the edge does not
@@ -154,21 +151,23 @@ func (ix *EdgeIndex) ID(u, v int32) int32 {
 	if u > v {
 		u, v = v, u
 	}
-	suffix := ix.g.Neighbors(u)[ix.upper[u]:]
+	pos, id := ix.Upper(u)
+	suffix := ix.g.Neighbors(u)[pos:]
 	j := sort.Search(len(suffix), func(j int) bool { return suffix[j] >= v })
 	if j == len(suffix) || suffix[j] != v {
 		panic(fmt.Sprintf("graph: edge {%d,%d} not present", u, v))
 	}
-	return ix.start[u] + int32(j)
+	return id + int32(j)
 }
 
 // Upper returns the position pos in Neighbors(u) of u's first neighbour
 // greater than u, and the id of that edge. The edges {u, v} with v > u
 // have consecutive ids in neighbour order: the neighbour at position
 // k ≥ pos has id id+(k-pos), so a scan of u's list needs no search for
-// them.
+// them. Those edges are the last start[u+1]-start[u] of the list, so
+// pos takes no search either.
 func (ix *EdgeIndex) Upper(u int32) (pos int, id int32) {
-	return int(ix.upper[u]), ix.start[u]
+	return ix.g.Degree(u) - int(ix.start[u+1]-ix.start[u]), ix.start[u]
 }
 
 // Endpoints returns the endpoints (u < v) of the edge with the given id.
@@ -184,7 +183,8 @@ func (ix *EdgeIndex) Endpoints(id int32) (u, v int32) {
 		}
 	}
 	u = int32(lo)
-	return u, ix.g.Neighbors(u)[int(ix.upper[u])+int(id-ix.start[u])]
+	pos, first := ix.Upper(u)
+	return u, ix.g.Neighbors(u)[pos+int(id-first)]
 }
 
 // NumEdges returns the number of indexed edges.
