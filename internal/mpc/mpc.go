@@ -316,14 +316,14 @@ func (c *Cluster) ChargeLoads(out, in []int64) error {
 	c.core.Emit(total)
 	round := c.core.Rounds()
 	var firstErr error
-	charge := func(loads []int64, in bool) {
+	charge := func(loads []int64, inbox bool) {
 		for i, w := range loads {
-			if in {
+			if inbox {
 				c.core.ObserveIn(w)
 			} else {
 				c.core.ObserveOut(w)
 			}
-			if err := c.audit(round, i, w, in); err != nil {
+			if err := c.audit(round, i, w, inbox); err != nil {
 				c.core.Violation()
 				if firstErr == nil {
 					firstErr = err
