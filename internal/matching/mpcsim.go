@@ -565,16 +565,10 @@ func (st *simState) runPhase(
 			st.freezeIter[v] = int32(st.t)
 			st.cover[v] = true
 		}
-		// The freezes update the carried state as detach does, and the
-		// local degrees on the frozen vertices' machines.
 		for _, v := range toFreeze {
+			st.detach(v, true)
 			for _, u := range g.Neighbors(v) {
-				if !st.inV[u] {
-					continue
-				}
-				st.deg[u]--
-				st.dirty[u] = true
-				if part[u] == part[v] && localDeg[u] > 0 {
+				if st.inV[u] && part[u] == part[v] && localDeg[u] > 0 {
 					localDeg[u]--
 				}
 			}
