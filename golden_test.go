@@ -5,11 +5,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"mpcgraph/internal/registry"
 )
 
 // The golden parity suite pins the audited Report of every registered
@@ -90,40 +91,6 @@ func (c goldenCase) String() string {
 	return fmt.Sprintf("%s-n%d-seed%d/%s/%s", c.scenario, c.n, c.seed, c.problem, c.model)
 }
 
-// solutionHash fingerprints the Report payload: the MIS / cover
-// memberships or the matched pairs, in deterministic order.
-func solutionHash(rep *Report) uint64 {
-	h := fnv.New64a()
-	write := func(vals ...int64) {
-		var buf [8]byte
-		for _, v := range vals {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
-	switch {
-	case rep.InMIS != nil:
-		for v, in := range rep.InMIS {
-			if in {
-				write(int64(v))
-			}
-		}
-	case rep.InCover != nil:
-		for v, in := range rep.InCover {
-			if in {
-				write(int64(v))
-			}
-		}
-	default:
-		for _, e := range rep.M.Edges() {
-			write(int64(e[0]), int64(e[1]))
-		}
-	}
-	return h.Sum64()
-}
-
 func runGoldenCase(t *testing.T, c goldenCase, workers int) *Report {
 	t.Helper()
 	in, err := GenerateScenario(c.scenario, c.n, c.seed, nil)
@@ -149,7 +116,7 @@ func toGolden(c goldenCase, rep *Report) goldenReport {
 		MaxMachineWords: rep.MaxMachineWords,
 		TotalWords:      rep.TotalWords,
 		Violations:      rep.Violations,
-		SolutionHash:    solutionHash(rep),
+		SolutionHash:    registry.SolutionHash(rep),
 	}
 	for _, st := range rep.Stages {
 		g.Stages = append(g.Stages, goldenStage{Name: st.Name, Rounds: st.Rounds, Words: st.Words})

@@ -82,7 +82,7 @@ func TestStdoutStdinPipe(t *testing.T) {
 	if err := Run([]string{"solve", "-problem", "approx-matching", "-in", "-", "-format", "metis", "-json"}, env2); err != nil {
 		t.Fatal(err)
 	}
-	var rep jsonReport
+	var rep registry.ReportView
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out.String())
 	}
@@ -107,7 +107,7 @@ func TestJSONReportInvariants(t *testing.T) {
 		if err := Run(args, env); err != nil {
 			t.Fatalf("%s: %v", pair, err)
 		}
-		var rep jsonReport
+		var rep registry.ReportView
 		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 			t.Fatalf("%s: bad JSON: %v", pair, err)
 		}
@@ -232,7 +232,7 @@ func TestWeightedFormatMatrix(t *testing.T) {
 		if err := Run([]string{"solve", "-problem", "weighted-matching", "-in", path, "-seed", "9", "-json"}, env2); err != nil {
 			t.Fatalf("solve %s: %v", file, err)
 		}
-		var rep jsonReport
+		var rep registry.ReportView
 		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 			t.Fatal(err)
 		}

@@ -6,11 +6,8 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
-	"mpcgraph/internal/graph"
 	"mpcgraph/internal/graphio"
 	"mpcgraph/internal/model"
 	reg "mpcgraph/internal/registry"
@@ -113,7 +110,7 @@ func uploadRequest(in reg.Input, p reg.Problem, m model.Model, opts reg.Options)
 
 // remoteReport reassembles a registry Report from the wire view and the
 // rendered solution payload.
-func remoteReport(in reg.Input, p reg.Problem, m model.Model, rv *service.ReportView, solution string) (*reg.Report, error) {
+func remoteReport(in reg.Input, p reg.Problem, m model.Model, rv *reg.ReportView, solution string) (*reg.Report, error) {
 	rep := &reg.Report{
 		Problem:         p,
 		Model:           m,
@@ -126,57 +123,14 @@ func remoteReport(in reg.Input, p reg.Problem, m model.Model, rv *service.Report
 	for _, st := range rv.Stages {
 		rep.Stages = append(rep.Stages, model.StageCost{Name: st.Name, Rounds: st.Rounds, Words: st.Words})
 	}
-	n := in.G.NumVertices()
-	var err error
-	switch p {
-	case reg.MIS:
-		rep.InMIS, err = parseVertexSet(solution, n)
-	case reg.VertexCover:
-		rep.InCover, err = parseVertexSet(solution, n)
-		if rv.FractionalWeight != nil {
-			rep.FractionalWeight = *rv.FractionalWeight
-		}
-	case reg.WeightedMatching:
-		rep.M, err = parseMatching(solution, n)
-		if rv.Value != nil {
-			rep.Value = *rv.Value
-		}
-	default:
-		rep.M, err = parseMatching(solution, n)
+	if rv.FractionalWeight != nil {
+		rep.FractionalWeight = *rv.FractionalWeight
 	}
-	if err != nil {
+	if rv.Value != nil {
+		rep.Value = *rv.Value
+	}
+	if err := reg.ParseSolution(rep, solution, in.G.NumVertices()); err != nil {
 		return nil, fmt.Errorf("remote solve: bad solution payload: %w", err)
 	}
 	return rep, nil
-}
-
-// parseVertexSet reads the one-id-per-line solution form.
-func parseVertexSet(text string, n int) ([]bool, error) {
-	set := make([]bool, n)
-	for _, tok := range strings.Fields(text) {
-		v, err := strconv.Atoi(tok)
-		if err != nil || v < 0 || v >= n {
-			return nil, fmt.Errorf("vertex %q out of range [0,%d)", tok, n)
-		}
-		set[v] = true
-	}
-	return set, nil
-}
-
-// parseMatching reads the "u v" pair-per-line solution form.
-func parseMatching(text string, n int) (graph.Matching, error) {
-	toks := strings.Fields(text)
-	if len(toks)%2 != 0 {
-		return nil, fmt.Errorf("odd token count %d in matching payload", len(toks))
-	}
-	match := graph.NewMatching(n)
-	for i := 0; i < len(toks); i += 2 {
-		u, err1 := strconv.Atoi(toks[i])
-		v, err2 := strconv.Atoi(toks[i+1])
-		if err1 != nil || err2 != nil || u < 0 || v < 0 || u >= n || v >= n {
-			return nil, fmt.Errorf("edge %q %q out of range [0,%d)", toks[i], toks[i+1], n)
-		}
-		match.Match(int32(u), int32(v))
-	}
-	return match, nil
 }

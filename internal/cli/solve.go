@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"mpcgraph"
-	"mpcgraph/internal/graphio"
+	"mpcgraph/internal/graph"
+	"mpcgraph/internal/registry"
 )
 
 // runSolve dispatches one problem through the unified Solve API and
@@ -92,16 +92,17 @@ func runSolve(args []string, env Env) error {
 	if err != nil {
 		return err
 	}
-	valid, summary := validateReport(d, rep)
-	if !valid {
-		return fmt.Errorf("internal error: %s output failed validation", problem)
+	if err := registry.Validate(d.G, rep); err != nil {
+		return fmt.Errorf("internal error: %w", err)
 	}
 	if *jsonOut {
-		if err := writeJSONReport(env.Stdout, d, rep); err != nil {
+		view := registry.NewReportView(rep, d.G.NumVertices(), d.G.NumEdges())
+		view.Valid = true
+		if err := json.NewEncoder(env.Stdout).Encode(view); err != nil {
 			return err
 		}
 	} else {
-		fmt.Fprintf(env.Stdout, "%s/%s: %s (validated)\n", rep.Problem, rep.Model, summary)
+		fmt.Fprintf(env.Stdout, "%s/%s: %s (validated)\n", rep.Problem, rep.Model, summary(rep))
 		fmt.Fprintf(env.Stdout, "cost: rounds=%d phases=%d maxMachineLoad=%d words totalComm=%d words violations=%d\n",
 			rep.Rounds, rep.Phases, rep.MaxMachineWords, rep.TotalWords, rep.Violations)
 		for _, st := range rep.Stages {
@@ -114,111 +115,24 @@ func runSolve(args []string, env Env) error {
 	return nil
 }
 
-// validateReport checks the payload against the instance and renders the
-// one-line text summary.
-func validateReport(d *graphio.Data, rep *mpcgraph.Report) (bool, string) {
-	g := d.G
+// summary renders the text report's one-line payload summary.
+func summary(rep *mpcgraph.Report) string {
 	switch rep.Problem {
 	case mpcgraph.ProblemMIS:
-		return mpcgraph.IsMaximalIndependentSet(g, rep.InMIS),
-			fmt.Sprintf("MIS size=%d", countTrue(rep.InMIS))
+		return fmt.Sprintf("MIS size=%d", graph.CountMarked(rep.InMIS))
 	case mpcgraph.ProblemMaximalMatching:
-		return mpcgraph.IsMaximalMatching(g, rep.M),
-			fmt.Sprintf("maximal matching size=%d", rep.M.Size())
-	case mpcgraph.ProblemApproxMatching, mpcgraph.ProblemOnePlusEpsMatching:
-		return mpcgraph.IsMatching(g, rep.M),
-			fmt.Sprintf("matching size=%d", rep.M.Size())
+		return fmt.Sprintf("maximal matching size=%d", rep.M.Size())
 	case mpcgraph.ProblemVertexCover:
-		return mpcgraph.IsVertexCover(g, rep.InCover),
-			fmt.Sprintf("vertex cover size=%d dualLowerBound=%.1f", countTrue(rep.InCover), rep.FractionalWeight)
+		return fmt.Sprintf("vertex cover size=%d dualLowerBound=%.1f", graph.CountMarked(rep.InCover), rep.FractionalWeight)
 	case mpcgraph.ProblemWeightedMatching:
-		return mpcgraph.IsMatching(g, rep.M),
-			fmt.Sprintf("weighted matching size=%d value=%.4g", rep.M.Size(), rep.Value)
+		return fmt.Sprintf("weighted matching size=%d value=%.4g", rep.M.Size(), rep.Value)
 	default:
-		return false, fmt.Sprintf("unknown problem %v", rep.Problem)
+		return fmt.Sprintf("matching size=%d", rep.M.Size())
 	}
 }
 
-func countTrue(set []bool) int {
-	n := 0
-	for _, in := range set {
-		if in {
-			n++
-		}
-	}
-	return n
-}
-
-// jsonReport is the machine-readable Report shape emitted by -json. The
-// cost fields are exactly the audited Report totals; wallMs is the only
-// field that varies between identical runs.
-type jsonReport struct {
-	Problem          string      `json:"problem"`
-	Model            string      `json:"model"`
-	N                int         `json:"n"`
-	M                int         `json:"m"`
-	Valid            bool        `json:"valid"`
-	MISSize          *int        `json:"misSize,omitempty"`
-	MatchingSize     *int        `json:"matchingSize,omitempty"`
-	CoverSize        *int        `json:"coverSize,omitempty"`
-	FractionalWeight *float64    `json:"dualLowerBound,omitempty"`
-	Value            *float64    `json:"value,omitempty"`
-	Rounds           int         `json:"rounds"`
-	Phases           int         `json:"phases"`
-	MaxMachineWords  int64       `json:"maxMachineWords"`
-	TotalWords       int64       `json:"totalWords"`
-	Violations       int         `json:"violations"`
-	WallMs           float64     `json:"wallMs"`
-	Stages           []jsonStage `json:"stages"`
-}
-
-type jsonStage struct {
-	Name   string `json:"name"`
-	Rounds int    `json:"rounds"`
-	Words  int64  `json:"words"`
-}
-
-func writeJSONReport(w io.Writer, d *graphio.Data, rep *mpcgraph.Report) error {
-	out := jsonReport{
-		Problem:         rep.Problem.String(),
-		Model:           rep.Model.String(),
-		N:               d.G.NumVertices(),
-		M:               d.G.NumEdges(),
-		Valid:           true,
-		Rounds:          rep.Rounds,
-		Phases:          rep.Phases,
-		MaxMachineWords: rep.MaxMachineWords,
-		TotalWords:      rep.TotalWords,
-		Violations:      rep.Violations,
-		WallMs:          float64(rep.Wall.Microseconds()) / 1000,
-		Stages:          make([]jsonStage, 0, len(rep.Stages)),
-	}
-	for _, st := range rep.Stages {
-		out.Stages = append(out.Stages, jsonStage{Name: st.Name, Rounds: st.Rounds, Words: st.Words})
-	}
-	switch rep.Problem {
-	case mpcgraph.ProblemMIS:
-		size := countTrue(rep.InMIS)
-		out.MISSize = &size
-	case mpcgraph.ProblemVertexCover:
-		size := countTrue(rep.InCover)
-		out.CoverSize = &size
-		out.FractionalWeight = &rep.FractionalWeight
-	case mpcgraph.ProblemWeightedMatching:
-		size := rep.M.Size()
-		out.MatchingSize = &size
-		out.Value = &rep.Value
-	default:
-		size := rep.M.Size()
-		out.MatchingSize = &size
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&out)
-}
-
-// writeSolution renders the solution payload: one vertex id per line for
-// vertex sets (MIS, vertex cover), one "u v" pair per line for
-// matchings.
+// writeSolution writes the solution payload in registry.RenderSolution's
+// form to path, or to stdout for "-".
 func writeSolution(path string, env Env, rep *mpcgraph.Report) error {
 	w := env.Stdout
 	var f *os.File
@@ -230,7 +144,7 @@ func writeSolution(path string, env Env, rep *mpcgraph.Report) error {
 		}
 		w = f
 	}
-	if err := renderSolution(w, rep); err != nil {
+	if err := registry.RenderSolution(w, rep); err != nil {
 		if f != nil {
 			_ = f.Close() // the render error is the one worth reporting
 		}
@@ -240,30 +154,6 @@ func writeSolution(path string, env Env, rep *mpcgraph.Report) error {
 		// A failed flush on Close would otherwise report a truncated
 		// solution file as success.
 		return f.Close()
-	}
-	return nil
-}
-
-func renderSolution(w io.Writer, rep *mpcgraph.Report) error {
-	switch rep.Problem {
-	case mpcgraph.ProblemMIS, mpcgraph.ProblemVertexCover:
-		set := rep.InMIS
-		if rep.Problem == mpcgraph.ProblemVertexCover {
-			set = rep.InCover
-		}
-		for v, in := range set {
-			if in {
-				if _, err := fmt.Fprintln(w, v); err != nil {
-					return err
-				}
-			}
-		}
-	default:
-		for _, e := range rep.M.Edges() {
-			if _, err := fmt.Fprintf(w, "%d %d\n", e[0], e[1]); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

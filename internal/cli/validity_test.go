@@ -5,15 +5,15 @@ import (
 	"testing"
 
 	"mpcgraph"
-	"mpcgraph/internal/graphio"
 	"mpcgraph/internal/raceflag"
+	"mpcgraph/internal/registry"
 	"mpcgraph/internal/scenario"
 )
 
 // TestCatalogSolutionsValid runs every registered (Problem, Model) pair
 // on every catalog scenario over a range of seeds and checks each
-// payload with validateReport, the check `mpcgraph solve` applies before
-// it prints a result. Weighted matching runs on the weighted scenarios
+// payload with registry.Validate, the check `mpcgraph solve` applies
+// before it prints a result. Weighted matching runs on the weighted scenarios
 // only. The sweep is what caught the direct stage of the matching
 // simulation returning vertex covers that left an edge uncovered.
 func TestCatalogSolutionsValid(t *testing.T) {
@@ -32,13 +32,12 @@ func TestCatalogSolutionsValid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d := &graphio.Data{G: in.G, WG: in.WG}
-				var instance mpcgraph.Instance = d.G
-				if d.WG != nil {
-					instance = d.WG
+				var instance mpcgraph.Instance = in.G
+				if in.WG != nil {
+					instance = in.WG
 				}
 				for _, pair := range mpcgraph.Algorithms() {
-					if pair.Problem == mpcgraph.ProblemWeightedMatching && d.WG == nil {
+					if pair.Problem == mpcgraph.ProblemWeightedMatching && in.WG == nil {
 						continue
 					}
 					opts := mpcgraph.Options{Seed: 999 + k, Workers: 1, Model: pair.Model}
@@ -46,8 +45,8 @@ func TestCatalogSolutionsValid(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s seed=%d: %v", pair, k, err)
 					}
-					if valid, summary := validateReport(d, rep); !valid {
-						t.Errorf("%s scenario seed=%d solve seed=%d: invalid output (%s)", pair, k, 999+k, summary)
+					if err := registry.Validate(in.G, rep); err != nil {
+						t.Errorf("scenario seed=%d solve seed=%d: %v", k, 999+k, err)
 					}
 				}
 			}

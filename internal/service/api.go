@@ -5,7 +5,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 	"time"
@@ -271,126 +270,17 @@ type JobView struct {
 	// timestamps, it varies between identical runs and is operational
 	// metadata only.
 	Timings *TimingsView `json:"timings,omitempty"`
-	Report  *ReportView  `json:"report,omitempty"`
+	// Report is the result's wire view with its SolutionHash set; the
+	// full solution is served by GET /v1/jobs/{id}/solution.
+	Report *registry.ReportView `json:"report,omitempty"`
 }
 
-// ReportView is the wire rendering of a Report: the audited costs, the
-// solution summary, and an FNV-1a fingerprint of the full solution
-// payload (the same hash the golden suite pins), so bit-identity of a
-// cache hit is checkable from the wire alone. The full solution is
-// served by GET /v1/jobs/{id}/solution.
-type ReportView struct {
-	Problem          string      `json:"problem"`
-	Model            string      `json:"model"`
-	N                int         `json:"n"`
-	M                int         `json:"m"`
-	MISSize          *int        `json:"misSize,omitempty"`
-	MatchingSize     *int        `json:"matchingSize,omitempty"`
-	CoverSize        *int        `json:"coverSize,omitempty"`
-	FractionalWeight *float64    `json:"dualLowerBound,omitempty"`
-	Value            *float64    `json:"value,omitempty"`
-	SolutionHash     string      `json:"solutionHash"`
-	Rounds           int         `json:"rounds"`
-	Phases           int         `json:"phases"`
-	MaxMachineWords  int64       `json:"maxMachineWords"`
-	TotalWords       int64       `json:"totalWords"`
-	Violations       int         `json:"violations"`
-	WallMs           float64     `json:"wallMs"`
-	Stages           []StageView `json:"stages"`
-}
-
-// StageView mirrors model.StageCost on the wire.
-type StageView struct {
-	Name   string `json:"name"`
-	Rounds int    `json:"rounds"`
-	Words  int64  `json:"words"`
-}
-
-// solutionHash fingerprints the Report payload exactly like the golden
-// suite (golden_test.go): FNV-1a over the member vertex ids or the
-// matched pairs in deterministic order.
-func solutionHash(rep *mpcgraph.Report) uint64 {
-	h := fnv.New64a()
-	write := func(vals ...int64) {
-		var buf [8]byte
-		for _, v := range vals {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
-	switch {
-	case rep.InMIS != nil:
-		for v, in := range rep.InMIS {
-			if in {
-				write(int64(v))
-			}
-		}
-	case rep.InCover != nil:
-		for v, in := range rep.InCover {
-			if in {
-				write(int64(v))
-			}
-		}
-	default:
-		for _, e := range rep.M.Edges() {
-			write(int64(e[0]), int64(e[1]))
-		}
-	}
-	return h.Sum64()
-}
-
-func countTrue(set []bool) int {
-	n := 0
-	for _, in := range set {
-		if in {
-			n++
-		}
-	}
-	return n
-}
-
-// reportView renders rep, solved on an instance with n vertices and m
-// edges, for the wire.
-func reportView(rep *mpcgraph.Report, n, m int) *ReportView {
-	out := &ReportView{
-		Problem:         rep.Problem.String(),
-		Model:           rep.Model.String(),
-		N:               n,
-		M:               m,
-		SolutionHash:    fmt.Sprintf("%016x", solutionHash(rep)),
-		Rounds:          rep.Rounds,
-		Phases:          rep.Phases,
-		MaxMachineWords: rep.MaxMachineWords,
-		TotalWords:      rep.TotalWords,
-		Violations:      rep.Violations,
-		WallMs:          float64(rep.Wall.Microseconds()) / 1000,
-		Stages:          make([]StageView, 0, len(rep.Stages)),
-	}
-	for _, st := range rep.Stages {
-		out.Stages = append(out.Stages, StageView{Name: st.Name, Rounds: st.Rounds, Words: st.Words})
-	}
-	switch rep.Problem {
-	case mpcgraph.ProblemMIS:
-		size := countTrue(rep.InMIS)
-		out.MISSize = &size
-	case mpcgraph.ProblemVertexCover:
-		size := countTrue(rep.InCover)
-		out.CoverSize = &size
-		fw := rep.FractionalWeight
-		out.FractionalWeight = &fw
-	case mpcgraph.ProblemWeightedMatching:
-		size := rep.M.Size()
-		out.MatchingSize = &size
-		v := rep.Value
-		out.Value = &v
-	default:
-		size := rep.M.Size()
-		out.MatchingSize = &size
-	}
-	return out
-}
+// ReportView and StageView name registry's report view in this
+// package's API; the perfbench module compiles against these names.
+type (
+	ReportView = registry.ReportView
+	StageView  = registry.StageView
+)
 
 // view snapshots the job for the wire.
 func (j *Job) view() *JobView {
@@ -415,7 +305,8 @@ func (j *Job) view() *JobView {
 		Timings:    j.timings.view(),
 	}
 	if j.report != nil {
-		v.Report = reportView(j.report, j.n, j.m)
+		v.Report = registry.NewReportView(j.report, j.n, j.m)
+		v.Report.SolutionHash = fmt.Sprintf("%016x", registry.SolutionHash(j.report))
 	}
 	return v
 }
@@ -443,28 +334,4 @@ func wireTime(at time.Time) string {
 		return ""
 	}
 	return at.UTC().Format("2006-01-02T15:04:05.000Z")
-}
-
-// renderSolution writes the full solution payload: one vertex id per
-// line for vertex sets, one "u v" pair per line for matchings —
-// identical to `mpcgraph solve -solution`.
-func renderSolution(rep *mpcgraph.Report) string {
-	var b strings.Builder
-	switch rep.Problem {
-	case mpcgraph.ProblemMIS, mpcgraph.ProblemVertexCover:
-		set := rep.InMIS
-		if rep.Problem == mpcgraph.ProblemVertexCover {
-			set = rep.InCover
-		}
-		for v, in := range set {
-			if in {
-				fmt.Fprintln(&b, v)
-			}
-		}
-	default:
-		for _, e := range rep.M.Edges() {
-			fmt.Fprintf(&b, "%d %d\n", e[0], e[1])
-		}
-	}
-	return b.String()
 }

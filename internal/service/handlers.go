@@ -168,7 +168,9 @@ func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, renderSolution(rep))
+	// The status line is already on the wire; a write failure means the
+	// client went away, and there is no second response to send.
+	_ = registry.RenderSolution(w, rep)
 }
 
 // traceEventView is the wire shape of one streamed TraceEvent.
