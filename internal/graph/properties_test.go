@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -159,5 +160,112 @@ func TestMatchingEdgesSorted(t *testing.T) {
 	}
 	if edges[0][0] > edges[1][0] {
 		t.Errorf("edges out of order: %v", edges)
+	}
+}
+
+// TestOnePassPredicatesMatchDefinitions: IsMaximalIndependentSet and
+// IsMaximalMatching, which each make one adjacency pass, agree with
+// their two-pass definitions (independent or a matching first, then
+// dominating or maximal) on random graphs. The sets include random
+// marks, greedy maximal independent sets, and those sets plus one more
+// vertex — dependent sets that dominate every vertex. The mate arrays
+// include random entries (inconsistent, out of range, non-edges),
+// greedy maximal matchings, and those matchings less one pair.
+func TestOnePassPredicatesMatchDefinitions(t *testing.T) {
+	misDef := func(g *Graph, in []bool) bool {
+		if !IsIndependentSet(g, in) {
+			return false
+		}
+		for v := int32(0); v < int32(g.NumVertices()); v++ {
+			dominated := in[v]
+			for _, u := range g.Neighbors(v) {
+				dominated = dominated || in[u]
+			}
+			if !dominated {
+				return false
+			}
+		}
+		return true
+	}
+	maximalDef := func(g *Graph, m Matching) bool {
+		if !IsMatching(g, m) {
+			return false
+		}
+		maximal := true
+		g.ForEachEdge(func(u, v int32) {
+			maximal = maximal && (m[u] != -1 || m[v] != -1)
+		})
+		return maximal
+	}
+	counts := map[string]int{}
+	check := func(seed uint64) bool {
+		src := rng.New(seed)
+		n := 1 + src.Intn(30)
+		g := GNP(n, src.Float64()*0.4, src)
+
+		greedy := make([]bool, n)
+		for _, v := range src.Perm(n) {
+			free := true
+			for _, u := range g.Neighbors(v) {
+				free = free && !greedy[u]
+			}
+			greedy[v] = free
+		}
+		random := make([]bool, n)
+		for v := range random {
+			random[v] = src.Bool(0.4)
+		}
+		plusOne := append([]bool(nil), greedy...)
+		for _, v := range src.Perm(n) {
+			if !plusOne[v] {
+				plusOne[v] = true
+				counts["mis dependent dominating"]++
+				break
+			}
+		}
+		for _, in := range [][]bool{random, greedy, plusOne} {
+			want := misDef(g, in)
+			counts[fmt.Sprint("mis ", want)]++
+			if IsMaximalIndependentSet(g, in) != want {
+				t.Errorf("seed %d: IsMaximalIndependentSet(%v) != %v", seed, in, want)
+				return false
+			}
+		}
+
+		matched := NewMatching(n)
+		for _, v := range src.Perm(n) {
+			for _, u := range g.Neighbors(v) {
+				if matched[v] == -1 && matched[u] == -1 {
+					matched.Match(v, u)
+				}
+			}
+		}
+		lessOne := matched.Clone()
+		if edges := lessOne.Edges(); len(edges) > 0 {
+			lessOne.Unmatch(edges[src.Intn(len(edges))][0])
+		}
+		random2 := NewMatching(n)
+		for v := range random2 {
+			if src.Bool(0.3) {
+				random2[v] = int32(src.Intn(n+2)) - 1
+			}
+		}
+		for _, m := range []Matching{matched, lessOne, random2} {
+			want := maximalDef(g, m)
+			counts[fmt.Sprint("matching ", want)]++
+			if IsMaximalMatching(g, m) != want {
+				t.Errorf("seed %d: IsMaximalMatching(%v) != %v", seed, m, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	for _, key := range []string{"mis true", "mis false", "mis dependent dominating", "matching true", "matching false"} {
+		if counts[key] == 0 {
+			t.Errorf("no case with %s", key)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package graph
 
 // This file contains the structural predicates used to check algorithm
-// outputs. Every algorithm test and every experiment validates its output
-// through these, so they are written for clarity over speed.
+// outputs. Every algorithm test and experiment validates its output
+// through these, and so do `mpcgraph solve` and mpcgraphd, which checks
+// every result it computes before caching it (registry.Validate). Each
+// predicate therefore makes a single pass over the adjacency lists.
 
 // IsIndependentSet reports whether no two marked vertices are adjacent.
 func IsIndependentSet(g *Graph, in []bool) bool {
@@ -19,23 +21,22 @@ func IsIndependentSet(g *Graph, in []bool) bool {
 }
 
 // IsMaximalIndependentSet reports whether the marked set is independent
-// and every unmarked vertex has a marked neighbor.
+// and every unmarked vertex has a marked neighbor. One pass over the
+// adjacency lists checks both: a marked vertex may have no marked
+// neighbor, an unmarked one needs one.
 func IsMaximalIndependentSet(g *Graph, in []bool) bool {
-	if !IsIndependentSet(g, in) {
+	if len(in) != g.NumVertices() {
 		return false
 	}
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if in[v] {
-			continue
-		}
-		dominated := false
-		for _, u := range g.Neighbors(v) {
+	for v := range in {
+		markedNeighbor := false
+		for _, u := range g.Neighbors(int32(v)) {
 			if in[u] {
-				dominated = true
+				markedNeighbor = true
 				break
 			}
 		}
-		if !dominated {
+		if markedNeighbor == in[v] {
 			return false
 		}
 	}
@@ -106,34 +107,47 @@ func IsMatching(g *Graph, m Matching) bool {
 	if len(m) != g.NumVertices() {
 		return false
 	}
-	for v := int32(0); v < int32(len(m)); v++ {
-		u := m[v]
-		if u == -1 {
-			continue
-		}
-		if u < 0 || int(u) >= len(m) || m[u] != v || u == v {
-			return false
-		}
-		if v < u && !g.HasEdge(v, u) {
+	for v, u := range m {
+		if u != -1 && !consistentMate(g, m, int32(v)) {
 			return false
 		}
 	}
 	return true
 }
 
-// IsMaximalMatching reports whether m is a matching of g and no edge of g
-// has both endpoints free.
-func IsMaximalMatching(g *Graph, m Matching) bool {
-	if !IsMatching(g, m) {
+// consistentMate reports whether v's mate u = m[v] is another vertex of
+// g whose mate is v, and, checked once per pair at its smaller end,
+// adjacent to v.
+func consistentMate(g *Graph, m Matching, v int32) bool {
+	u := m[v]
+	if u < 0 || int(u) >= len(m) || m[u] != v || u == v {
 		return false
 	}
-	maximal := true
-	g.ForEachEdge(func(u, v int32) {
-		if m[u] == -1 && m[v] == -1 {
-			maximal = false
+	return v > u || g.HasEdge(v, u)
+}
+
+// IsMaximalMatching reports whether m is a matching of g and no edge of g
+// has both endpoints free. One pass over the vertices checks both: a
+// matched vertex's mate must be consistent and adjacent, and a free
+// vertex may have no free neighbor.
+func IsMaximalMatching(g *Graph, m Matching) bool {
+	if len(m) != g.NumVertices() {
+		return false
+	}
+	for v, u := range m {
+		if u != -1 {
+			if !consistentMate(g, m, int32(v)) {
+				return false
+			}
+			continue
 		}
-	})
-	return maximal
+		for _, w := range g.Neighbors(int32(v)) {
+			if m[w] == -1 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // IsVertexCover reports whether every edge has a marked endpoint.

@@ -8,6 +8,7 @@ import (
 
 	"mpcgraph"
 	"mpcgraph/internal/obs"
+	"mpcgraph/internal/registry"
 )
 
 // JobState is the lifecycle of one submitted job:
@@ -431,8 +432,13 @@ func (j *Job) run(s *Server) {
 			obs.F("model", j.model.String()),
 			obs.F("source", j.source))
 		solveStart := time.Now()
-		rep, err = mpcgraph.Solve(f.ctx, in, j.problem, opts)
+		rep, err = s.solve(f.ctx, in, j.problem, opts)
 		elapsed := time.Since(solveStart)
+		if err == nil {
+			// Nothing is cached or served before it passes the check
+			// against its instance; a failure fails the whole flight.
+			err = registry.Validate(graphOf(in), rep)
+		}
 		j.tel.solve.With(j.problem.String(), j.model.String()).Observe(elapsed)
 		j.lg.Info(f.ctx, "job.solve.done",
 			obs.F("ms", durMs(elapsed)),
@@ -466,6 +472,14 @@ func (j *Job) run(s *Server) {
 			r.fail(err)
 		}
 	}
+}
+
+// graphOf is the unweighted graph under an instance.
+func graphOf(in mpcgraph.Instance) *mpcgraph.Graph {
+	if wg, ok := in.(*mpcgraph.WeightedGraph); ok {
+		return wg.Graph
+	}
+	return in.(*mpcgraph.Graph)
 }
 
 // failDroppedRiders retires a canceled flight and fails any rider that

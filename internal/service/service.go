@@ -142,6 +142,9 @@ type Server struct {
 	fp    *failpoints
 	tel   *telemetry
 	start time.Time
+	// solve computes a flight's Report: mpcgraph.Solve, replaced only by
+	// tests that feed the result check a tampered Report.
+	solve func(ctx context.Context, in mpcgraph.Instance, p mpcgraph.Problem, opts mpcgraph.Options) (*mpcgraph.Report, error)
 
 	mu          sync.Mutex
 	jobs        map[string]*Job
@@ -210,6 +213,7 @@ func build(cfg Config) (*Server, error) {
 		fp:      fp,
 		tel:     tel,
 		start:   time.Now(),
+		solve:   mpcgraph.Solve,
 		jobs:    make(map[string]*Job),
 		flights: make(map[string]*flight),
 		batches: make(map[string]*Batch),
