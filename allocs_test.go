@@ -31,7 +31,7 @@ func TestSolveAllocsCeiling(t *testing.T) {
 		"one-plus-eps-matching/congested-clique": 865, // 720
 		"vertex-cover/mpc":                       82,  // 68
 		"vertex-cover/congested-clique":          76,  // 63
-		"weighted-matching/mpc":                  536, // 447
+		"weighted-matching/mpc":                  306, // 255
 	}
 	for _, pair := range mpcgraph.Algorithms() {
 		t.Run(pair.String(), func(t *testing.T) {

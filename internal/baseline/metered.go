@@ -25,12 +25,14 @@ type MeteredResult struct {
 	Violations int
 }
 
-// edgeVolumeMatrix accumulates, for the live subgraph, one word per edge
-// direction between the home machines of the endpoints (vertices live on
-// machine v mod m). This is the per-iteration traffic of both Luby and
-// Israeli–Itai: marks/proposals ride one word per incident live edge.
-func edgeVolumeMatrix(g *graph.Graph, live []bool, m int) []int64 {
-	vol := make([]int64, m*m)
+// chargeEdgeRound charges one round in which every live edge carries one
+// word each way between the home machines of its endpoints (vertices live
+// on machine v mod m); words between endpoints on one machine stay local.
+// This is the per-iteration traffic of both Luby and Israeli–Itai:
+// marks/proposals ride one word per incident live edge.
+func chargeEdgeRound(cluster *mpc.Cluster, g *graph.Graph, live []bool) error {
+	m := cluster.Machines()
+	out, in := cluster.Loads()
 	for u := int32(0); u < int32(g.NumVertices()); u++ {
 		if !live[u] {
 			continue
@@ -40,13 +42,13 @@ func edgeVolumeMatrix(g *graph.Graph, live []bool, m int) []int64 {
 			if !live[v] {
 				continue
 			}
-			mv := int(v) % m
-			if mu != mv {
-				vol[mu*m+mv]++
+			if mv := int(v) % m; mu != mv {
+				out[mu]++
+				in[mv]++
 			}
 		}
 	}
-	return vol
+	return cluster.ChargeLoads(out, in)
 }
 
 // LubyMISOnCluster runs Luby's algorithm with every iteration charged as
@@ -68,12 +70,11 @@ func LubyMISOnCluster(g *graph.Graph, src *rng.Source, cluster *mpc.Cluster) (*M
 		remaining++
 	}
 	marked := make([]bool, n)
-	m := cluster.Machines()
 	for remaining > 0 {
 		res.Iterations++
 		// Round 1: every live vertex publishes its mark and degree to
 		// the machines of its live neighbors.
-		if _, err := cluster.ChargeVolumeMatrix(edgeVolumeMatrix(g, alive, m)); err != nil {
+		if err := chargeEdgeRound(cluster, g, alive); err != nil {
 			return nil, fmt.Errorf("luby mark round %d: %w", res.Iterations, err)
 		}
 		for v := int32(0); v < int32(n); v++ {
@@ -102,7 +103,7 @@ func LubyMISOnCluster(g *graph.Graph, src *rng.Source, cluster *mpc.Cluster) (*M
 			}
 		}
 		// Round 2: winners notify their neighborhoods.
-		if _, err := cluster.ChargeVolumeMatrix(edgeVolumeMatrix(g, alive, m)); err != nil {
+		if err := chargeEdgeRound(cluster, g, alive); err != nil {
 			return nil, fmt.Errorf("luby removal round %d: %w", res.Iterations, err)
 		}
 		for v := int32(0); v < int32(n); v++ {
@@ -152,10 +153,9 @@ func IsraeliItaiOnCluster(g *graph.Graph, src *rng.Source, cluster *mpc.Cluster)
 	}
 	proposal := make([]int32, n)
 	accepted := make([]int32, n)
-	m := cluster.Machines()
 	for remaining > 0 {
 		res.Iterations++
-		if _, err := cluster.ChargeVolumeMatrix(edgeVolumeMatrix(g, free, m)); err != nil {
+		if err := chargeEdgeRound(cluster, g, free); err != nil {
 			return nil, fmt.Errorf("israeli-itai propose round %d: %w", res.Iterations, err)
 		}
 		for v := int32(0); v < int32(n); v++ {
@@ -174,7 +174,7 @@ func IsraeliItaiOnCluster(g *graph.Graph, src *rng.Source, cluster *mpc.Cluster)
 				}
 			}
 		}
-		if _, err := cluster.ChargeVolumeMatrix(edgeVolumeMatrix(g, free, m)); err != nil {
+		if err := chargeEdgeRound(cluster, g, free); err != nil {
 			return nil, fmt.Errorf("israeli-itai accept round %d: %w", res.Iterations, err)
 		}
 		for v := range accepted {

@@ -135,13 +135,14 @@ func (mm *mpcMISMeter) PhaseCommit(r int, newMIS []int32) error {
 }
 
 // DynamicsRound meters one iteration of the local dynamics: every live
-// edge carries one word each way (desire level and mark bit packed),
-// aggregated into per-machine-pair messages. Vertices live on machine
-// v mod machines.
+// edge carries one word each way (desire level and mark bit packed)
+// between the machines of its endpoints, charged from the per-machine
+// loads. Vertices live on machine v mod machines.
 func (mm *mpcMISMeter) DynamicsRound(alive []bool) error {
 	g, machines := mm.g, mm.machines
-	volume := par.Reduce(mm.workers, g.NumVertices(), func(lo, hi, _ int) []int64 {
-		vol := make([]int64, machines*machines)
+	// loads[i] is what machine i sends, loads[machines+j] what j receives.
+	loads := par.Reduce(mm.workers, g.NumVertices(), func(lo, hi, _ int) []int64 {
+		l := make([]int64, 2*machines)
 		for u := int32(lo); u < int32(hi); u++ {
 			if !alive[u] {
 				continue
@@ -151,24 +152,23 @@ func (mm *mpcMISMeter) DynamicsRound(alive []bool) error {
 				if !alive[v] {
 					continue
 				}
-				mv := int(v) % machines
-				if mu != mv {
-					vol[mu*machines+mv]++
+				if mv := int(v) % machines; mu != mv {
+					l[mu]++
+					l[machines+mv]++
 				}
 			}
 		}
-		return vol
+		return l
 	}, func(a, b []int64) []int64 {
 		for i, w := range b {
 			a[i] += w
 		}
 		return a
 	})
-	if volume == nil {
-		volume = make([]int64, machines*machines)
+	if loads == nil {
+		loads = make([]int64, 2*machines)
 	}
-	_, err := mm.cluster.ChargeVolumeMatrix(volume)
-	return err
+	return mm.cluster.ChargeLoads(loads[:machines], loads[machines:])
 }
 
 // FinalGather charges the residue shipment to the leader.

@@ -52,23 +52,6 @@ func TestRoutingAllocsCeiling(t *testing.T) {
 		t.Errorf("Exchange: %.0f allocs/op steady state, ceiling %d", allocs, ceiling)
 	}
 
-	vol := make([]int64, machines*machines)
-	for i := range vol {
-		vol[i] = int64(i % 7)
-	}
-	if _, err := c.ChargeVolumeMatrix(vol); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(10, func() {
-		if _, err := c.ChargeVolumeMatrix(vol); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const volCeiling = 16
-	if allocs > volCeiling {
-		t.Errorf("ChargeVolumeMatrix: %.0f allocs/op steady state, ceiling %d", allocs, volCeiling)
-	}
-
 	// A load charge builds no messages: once Loads has sized its pooled
 	// tallies, a round allocates nothing.
 	charge := func() {

@@ -72,28 +72,3 @@ func BenchmarkChargeLoads(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkChargeVolumeMatrix measures the bulk-accounting round used by
-// the charge-only algorithms.
-func BenchmarkChargeVolumeMatrix(b *testing.B) {
-	const machines = 128
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c, err := NewCluster(Config{Machines: machines, Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			vol := make([]int64, machines*machines)
-			for i := range vol {
-				vol[i] = int64(i % 7)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.ChargeVolumeMatrix(vol); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -9,88 +9,6 @@ import (
 	"mpcgraph/internal/rng"
 )
 
-func TestChargeVolumeMatrix(t *testing.T) {
-	c, _ := NewCluster(Config{Machines: 3, CapacityWords: 100, Strict: true})
-	vol := []int64{
-		0, 5, 2,
-		1, 0, 0,
-		0, 7, 0,
-	}
-	in, err := c.ChargeVolumeMatrix(vol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(in[1]) != 2 { // from 0 (5 words) and from 2 (7 words)
-		t.Errorf("machine 1 received %d messages", len(in[1]))
-	}
-	m := c.Metrics()
-	if m.TotalWords != 15 {
-		t.Errorf("total = %d, want 15", m.TotalWords)
-	}
-	if m.MaxInWords != 12 { // machine 1: 5+7
-		t.Errorf("max in = %d, want 12", m.MaxInWords)
-	}
-	if m.MaxOutWords != 7 {
-		t.Errorf("max out = %d, want 7", m.MaxOutWords)
-	}
-	if m.Rounds != 1 {
-		t.Errorf("rounds = %d, want 1", m.Rounds)
-	}
-}
-
-func TestChargeVolumeMatrixValidation(t *testing.T) {
-	c, _ := NewCluster(Config{Machines: 2})
-	if _, err := c.ChargeVolumeMatrix([]int64{0, 1, 2}); err == nil {
-		t.Error("wrong-size matrix accepted")
-	}
-}
-
-func TestChargeVolumeMatrixEquivalentToExplicitMessages(t *testing.T) {
-	// Conformance: bulk charging must account identically to sending the
-	// same volumes as explicit messages.
-	const machines = 4
-	vol := make([]int64, machines*machines)
-	src := rng.New(42)
-	for i := 0; i < machines; i++ {
-		for j := 0; j < machines; j++ {
-			if i != j {
-				vol[i*machines+j] = int64(src.Intn(20))
-			}
-		}
-	}
-
-	bulk, _ := NewCluster(Config{Machines: machines, CapacityWords: 1000})
-	if _, err := bulk.ChargeVolumeMatrix(vol); err != nil {
-		t.Fatal(err)
-	}
-
-	explicit, _ := NewCluster(Config{Machines: machines, CapacityWords: 1000})
-	out := make([][]Message, machines)
-	for i := 0; i < machines; i++ {
-		for j := 0; j < machines; j++ {
-			// Split each pair volume into single-word messages to prove
-			// aggregation does not change the audit.
-			for k := int64(0); k < vol[i*machines+j]; k++ {
-				out[i] = append(out[i], Message{To: j, Words: 1})
-			}
-		}
-	}
-	if _, err := explicit.Exchange(out); err != nil {
-		t.Fatal(err)
-	}
-
-	if bulk.Metrics() != explicit.Metrics() {
-		t.Errorf("metrics diverge:\nbulk     %+v\nexplicit %+v", bulk.Metrics(), explicit.Metrics())
-	}
-}
-
-func TestChargeVolumeMatrixStrictOverflow(t *testing.T) {
-	c, _ := NewCluster(Config{Machines: 2, CapacityWords: 3, Strict: true})
-	if _, err := c.ChargeVolumeMatrix([]int64{0, 9, 0, 0}); err == nil {
-		t.Error("overflow volume accepted in strict mode")
-	}
-}
-
 // TestChargeLoadsMatchesExchange: charging a round from its per-machine
 // loads must account exactly as exchanging the messages behind them —
 // the same Metrics, the same trace events and, in strict mode, the same

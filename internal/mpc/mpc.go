@@ -24,7 +24,6 @@ import (
 
 	"mpcgraph/internal/machine"
 	"mpcgraph/internal/model"
-	"mpcgraph/internal/par"
 	"mpcgraph/internal/rng"
 )
 
@@ -259,29 +258,6 @@ func (c *Cluster) BroadcastFrom(src int, words int64, payload any) ([]Message, e
 		in[j] = Message{From: src, To: j, Words: words, Payload: payload}
 	}
 	return in, nil
-}
-
-// ChargeVolumeMatrix executes one round whose communication is described
-// by an m×m row-major volume matrix: vol[i*m+j] words travel from machine
-// i to machine j. It is the bulk-accounting form of Exchange used by
-// algorithms whose per-message payloads are immaterial to the model audit
-// (the loads and budgets are identical to sending real messages).
-func (c *Cluster) ChargeVolumeMatrix(vol []int64) ([][]Message, error) {
-	m := c.cfg.Machines
-	if len(vol) != m*m {
-		return nil, fmt.Errorf("mpc: volume matrix has %d entries for %d machines", len(vol), m)
-	}
-	out := c.core.Outboxes()
-	par.For(c.cfg.Workers, m, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < m; j++ {
-				if w := vol[i*m+j]; w > 0 {
-					out[i] = append(out[i], Message{To: j, Words: w})
-				}
-			}
-		}
-	})
-	return c.Exchange(out)
 }
 
 // ChargeLoads executes one round described by its per-machine loads:
