@@ -5,7 +5,9 @@
 // CLI and the experiment harness all enumerate this table, so
 // registering a new algorithm here makes it appear in the API, the CLI
 // listing and the benchmarks with no further wiring — the slot follow-up
-// work such as Behnezhad–Hajiaghayi–Harris (SPAA 2019) plugs into.
+// work such as Behnezhad–Hajiaghayi–Harris (SPAA 2019) plugs into. The
+// package also holds the Report's one outside form (view.go): its check
+// against the instance, its wire view, its solution text and hash.
 package registry
 
 import (
