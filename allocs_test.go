@@ -25,12 +25,12 @@ func TestSolveAllocsCeiling(t *testing.T) {
 		"mis/congested-clique":                   94,  // 78
 		"maximal-matching/mpc":                   12,  // 10
 		"maximal-matching/congested-clique":      12,  // 10
-		"approx-matching/mpc":                    890, // 741
-		"approx-matching/congested-clique":       840, // 700
-		"one-plus-eps-matching/mpc":              910, // 759
-		"one-plus-eps-matching/congested-clique": 865, // 720
-		"vertex-cover/mpc":                       82,  // 68
-		"vertex-cover/congested-clique":          76,  // 63
+		"approx-matching/mpc":                    454, // 378
+		"approx-matching/congested-clique":       406, // 338
+		"one-plus-eps-matching/mpc":              478, // 398
+		"one-plus-eps-matching/congested-clique": 428, // 357
+		"vertex-cover/mpc":                       78,  // 65
+		"vertex-cover/congested-clique":          72,  // 60
 		"weighted-matching/mpc":                  306, // 255
 	}
 	for _, pair := range mpcgraph.Algorithms() {

@@ -218,7 +218,7 @@ func runE8(cfg Config) *Table {
 	failures := 0
 	minSize := math.Inf(1)
 	for i := 0; i < trials; i++ {
-		m := matching.RoundFractional(g, res.Frac, candidate, rng.New(rng.Hash(seed, uint64(i))))
+		m := matching.RoundFractional(res.Frac, candidate, rng.New(rng.Hash(seed, uint64(i))))
 		s := float64(m.Size())
 		sizes = append(sizes, s)
 		if s < minSize {

@@ -115,7 +115,7 @@ func (g *Graph) EdgeList() [][2]int32 {
 
 // EdgeIndex assigns each undirected edge {u,v}, u < v, a dense id in
 // [0, m) in lexicographic order, and provides O(log deg) lookup. It is the
-// indexing used for per-edge fractional weights x_e.
+// indexing of the per-edge weights of a weighted graph (Weighted.W).
 type EdgeIndex struct {
 	g     *Graph
 	start []int32 // start[u] = id of the first edge whose smaller endpoint is u
@@ -151,7 +151,7 @@ func (ix *EdgeIndex) ID(u, v int32) int32 {
 	if u > v {
 		u, v = v, u
 	}
-	pos, id := ix.Upper(u)
+	pos, id := ix.upper(u)
 	suffix := ix.g.Neighbors(u)[pos:]
 	j := sort.Search(len(suffix), func(j int) bool { return suffix[j] >= v })
 	if j == len(suffix) || suffix[j] != v {
@@ -160,13 +160,13 @@ func (ix *EdgeIndex) ID(u, v int32) int32 {
 	return id + int32(j)
 }
 
-// Upper returns the position pos in Neighbors(u) of u's first neighbour
+// upper returns the position pos in Neighbors(u) of u's first neighbour
 // greater than u, and the id of that edge. The edges {u, v} with v > u
 // have consecutive ids in neighbour order: the neighbour at position
 // k ≥ pos has id id+(k-pos), so a scan of u's list needs no search for
 // them. Those edges are the last start[u+1]-start[u] of the list, so
 // pos takes no search either.
-func (ix *EdgeIndex) Upper(u int32) (pos int, id int32) {
+func (ix *EdgeIndex) upper(u int32) (pos int, id int32) {
 	return ix.g.Degree(u) - int(ix.start[u+1]-ix.start[u]), ix.start[u]
 }
 
@@ -183,7 +183,7 @@ func (ix *EdgeIndex) Endpoints(id int32) (u, v int32) {
 		}
 	}
 	u = int32(lo)
-	pos, first := ix.Upper(u)
+	pos, first := ix.upper(u)
 	return u, ix.g.Neighbors(u)[pos+int(id-first)]
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -502,6 +503,35 @@ func TestSubgraphPropertyRandom(t *testing.T) {
 			}
 		})
 		return ok && sub.NumEdges() == want
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSubgraphOfSubgraph: cutting a shrinking mask from the previous cut
+// gives the same CSR as cutting it from the whole graph, which lets the
+// integral matching pipeline cut each residue from the last one.
+func TestSubgraphOfSubgraph(t *testing.T) {
+	check := func(seed uint64) bool {
+		src := rng.New(seed)
+		g := GNP(80, 0.1, src)
+		keep := make([]bool, 80)
+		for i := range keep {
+			keep[i] = true
+		}
+		sub := g
+		for step := 0; step < 4; step++ {
+			for i := range keep {
+				keep[i] = keep[i] && src.Bool(0.8)
+			}
+			sub = sub.SubgraphWorkers(keep, 1+step%2)
+			want := g.Subgraph(keep)
+			if sub.m != want.m || !slices.Equal(sub.offsets, want.offsets) || !slices.Equal(sub.adj, want.adj) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -166,14 +166,32 @@ func TestMatchingEdgesSorted(t *testing.T) {
 // TestOnePassPredicatesMatchDefinitions: IsMaximalIndependentSet and
 // IsMaximalMatching, which each make one adjacency pass, agree with
 // their two-pass definitions (independent or a matching first, then
-// dominating or maximal) on random graphs. The sets include random
-// marks, greedy maximal independent sets, and those sets plus one more
-// vertex — dependent sets that dominate every vertex. The mate arrays
-// include random entries (inconsistent, out of range, non-edges),
-// greedy maximal matchings, and those matchings less one pair.
+// dominating or maximal) on random graphs; IsIndependentSet and
+// IsVertexCover, which scan the marked or the unmarked vertices' lists,
+// agree with their definitions over ForEachEdge. The sets include
+// random marks, greedy maximal independent sets, and those sets plus
+// one more vertex — dependent sets that dominate every vertex — and
+// the complements of all three, which are covers exactly when the sets
+// are independent. The mate arrays include random entries
+// (inconsistent, out of range, non-edges), greedy maximal matchings,
+// and those matchings less one pair.
 func TestOnePassPredicatesMatchDefinitions(t *testing.T) {
+	independentDef := func(g *Graph, in []bool) bool {
+		ok := true
+		g.ForEachEdge(func(u, v int32) {
+			ok = ok && !(in[u] && in[v])
+		})
+		return ok
+	}
+	coverDef := func(g *Graph, cover []bool) bool {
+		ok := true
+		g.ForEachEdge(func(u, v int32) {
+			ok = ok && (cover[u] || cover[v])
+		})
+		return ok
+	}
 	misDef := func(g *Graph, in []bool) bool {
-		if !IsIndependentSet(g, in) {
+		if !independentDef(g, in) {
 			return false
 		}
 		for v := int32(0); v < int32(g.NumVertices()); v++ {
@@ -230,6 +248,24 @@ func TestOnePassPredicatesMatchDefinitions(t *testing.T) {
 				t.Errorf("seed %d: IsMaximalIndependentSet(%v) != %v", seed, in, want)
 				return false
 			}
+			want = independentDef(g, in)
+			counts[fmt.Sprint("independent ", want)]++
+			if IsIndependentSet(g, in) != want {
+				t.Errorf("seed %d: IsIndependentSet(%v) != %v", seed, in, want)
+				return false
+			}
+			complement := make([]bool, n)
+			for v := range complement {
+				complement[v] = !in[v]
+			}
+			for _, cover := range [][]bool{in, complement} {
+				want = coverDef(g, cover)
+				counts[fmt.Sprint("cover ", want)]++
+				if IsVertexCover(g, cover) != want {
+					t.Errorf("seed %d: IsVertexCover(%v) != %v", seed, cover, want)
+					return false
+				}
+			}
 		}
 
 		matched := NewMatching(n)
@@ -263,7 +299,7 @@ func TestOnePassPredicatesMatchDefinitions(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
-	for _, key := range []string{"mis true", "mis false", "mis dependent dominating", "matching true", "matching false"} {
+	for _, key := range []string{"mis true", "mis false", "mis dependent dominating", "independent true", "independent false", "cover true", "cover false", "matching true", "matching false"} {
 		if counts[key] == 0 {
 			t.Errorf("no case with %s", key)
 		}

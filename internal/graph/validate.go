@@ -6,18 +6,29 @@ package graph
 // every result it computes before caching it (registry.Validate). Each
 // predicate therefore makes a single pass over the adjacency lists.
 
-// IsIndependentSet reports whether no two marked vertices are adjacent.
+// IsIndependentSet reports whether no two marked vertices are adjacent:
+// no marked vertex has a marked neighbour.
 func IsIndependentSet(g *Graph, in []bool) bool {
 	if len(in) != g.NumVertices() {
 		return false
 	}
-	ok := true
-	g.ForEachEdge(func(u, v int32) {
-		if in[u] && in[v] {
-			ok = false
+	return !anyEdgeWithin(g, in, true)
+}
+
+// anyEdgeWithin reports whether some edge has both endpoints marked
+// with mark, scanning the lists of those vertices only.
+func anyEdgeWithin(g *Graph, set []bool, mark bool) bool {
+	for v, b := range set {
+		if b != mark {
+			continue
 		}
-	})
-	return ok
+		for _, u := range g.Neighbors(int32(v)) {
+			if set[u] == mark {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // IsMaximalIndependentSet reports whether the marked set is independent
@@ -150,18 +161,13 @@ func IsMaximalMatching(g *Graph, m Matching) bool {
 	return true
 }
 
-// IsVertexCover reports whether every edge has a marked endpoint.
+// IsVertexCover reports whether every edge has a marked endpoint: no
+// unmarked vertex has an unmarked neighbour.
 func IsVertexCover(g *Graph, cover []bool) bool {
 	if len(cover) != g.NumVertices() {
 		return false
 	}
-	ok := true
-	g.ForEachEdge(func(u, v int32) {
-		if !cover[u] && !cover[v] {
-			ok = false
-		}
-	})
-	return ok
+	return !anyEdgeWithin(g, cover, false)
 }
 
 // CountMarked returns the number of true entries; shared helper for set

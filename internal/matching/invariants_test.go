@@ -23,11 +23,11 @@ func TestCentralRandDegenerateOracleEqualsCentral(t *testing.T) {
 	if fixed.Iterations != randed.Iterations {
 		t.Errorf("iterations differ: %d vs %d", fixed.Iterations, randed.Iterations)
 	}
-	for e := range fixed.X {
-		if fixed.X[e] != randed.X[e] {
-			t.Fatalf("edge %d weights differ: %v vs %v", e, fixed.X[e], randed.X[e])
+	g.ForEachEdge(func(u, v int32) {
+		if a, b := fixed.EdgeWeight(u, v), randed.EdgeWeight(u, v); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("edge {%d,%d} weights differ: %v vs %v", u, v, a, b)
 		}
-	}
+	})
 	for v := range fixed.Cover {
 		if fixed.Cover[v] != randed.Cover[v] {
 			t.Fatalf("cover differs at vertex %d", v)
@@ -43,13 +43,14 @@ func TestCentralWeightsAreQuantized(t *testing.T) {
 	g := graph.GNP(150, 0.06, rng.New(2))
 	res := Central(g, eps)
 	n := float64(g.NumVertices())
-	for e, x := range res.X {
+	g.ForEachEdge(func(u, v int32) {
+		x := res.EdgeWeight(u, v)
 		k := math.Log(x*n) / -math.Log1p(-eps)
 		rounded := math.Round(k)
 		if math.Abs(k-rounded) > 1e-6 || rounded < 0 || int(rounded) > res.Iterations {
-			t.Fatalf("edge %d weight %v is not on the ladder (k=%v, iters=%d)", e, x, k, res.Iterations)
+			t.Fatalf("edge {%d,%d} weight %v is not on the ladder (k=%v, iters=%d)", u, v, x, k, res.Iterations)
 		}
-	}
+	})
 }
 
 // TestSimulateWeightsAreQuantized checks the same ladder for the MPC
@@ -61,16 +62,17 @@ func TestSimulateWeightsAreQuantized(t *testing.T) {
 		t.Fatal(err)
 	}
 	w0 := (1 - 2*eps) / float64(g.NumVertices())
-	for e, x := range res.Frac.X {
+	g.ForEachEdge(func(u, v int32) {
+		x := res.Frac.EdgeWeight(u, v)
 		if x == 0 {
-			continue // incident to a removed heavy vertex
+			return // incident to a removed heavy vertex
 		}
 		k := math.Log(x/w0) / -math.Log1p(-eps)
 		rounded := math.Round(k)
 		if math.Abs(k-rounded) > 1e-6 || rounded < 0 || int(rounded) > res.Frac.Iterations {
-			t.Fatalf("edge %d weight %v off ladder (k=%v)", e, x, k)
+			t.Fatalf("edge {%d,%d} weight %v off ladder (k=%v)", u, v, x, k)
 		}
-	}
+	})
 }
 
 // TestSimulateEveryEdgeFrozenOrRemoved verifies the termination
@@ -203,7 +205,7 @@ func TestRoundFractionalDisjointness(t *testing.T) {
 		for i := range candidate {
 			candidate[i] = true
 		}
-		m := RoundFractional(g, res, candidate, src)
+		m := RoundFractional(res, candidate, src)
 		return graph.IsMatching(g, m)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {

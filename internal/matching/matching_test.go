@@ -26,11 +26,11 @@ func fracIsFeasible(t *testing.T, frac *FracResult) {
 			t.Fatalf("vertex %d has weight %v > 1", v, y)
 		}
 	}
-	for e, x := range frac.X {
-		if x < 0 || x > 1+1e-9 {
-			t.Fatalf("edge %d has weight %v outside [0,1]", e, x)
+	frac.g.ForEachEdge(func(u, v int32) {
+		if x := frac.EdgeWeight(u, v); x < 0 || x > 1+1e-9 {
+			t.Fatalf("edge {%d,%d} has weight %v outside [0,1]", u, v, x)
 		}
-	}
+	})
 }
 
 func TestCentralTerminatesAndCovers(t *testing.T) {
@@ -136,11 +136,11 @@ func TestSimulateDeterministic(t *testing.T) {
 	if a.Rounds != b.Rounds || a.Phases != b.Phases {
 		t.Fatal("same seed produced different metrics")
 	}
-	for e := range a.Frac.X {
-		if a.Frac.X[e] != b.Frac.X[e] {
-			t.Fatalf("edge %d weight differs across identical runs", e)
+	g.ForEachEdge(func(u, v int32) {
+		if math.Float64bits(a.Frac.EdgeWeight(u, v)) != math.Float64bits(b.Frac.EdgeWeight(u, v)) {
+			t.Fatalf("edge {%d,%d} weight differs across identical runs", u, v)
 		}
-	}
+	})
 }
 
 func TestSimulatePhaseScaling(t *testing.T) {
@@ -292,7 +292,7 @@ func TestRoundFractionalValidAndSized(t *testing.T) {
 	if cSize == 0 {
 		t.Skip("no heavy cover vertices on this instance")
 	}
-	m := RoundFractional(g, res.Frac, candidate, rng.New(16))
+	m := RoundFractional(res.Frac, candidate, rng.New(16))
 	if !graph.IsMatching(g, m) {
 		t.Fatal("rounding produced an invalid matching")
 	}
@@ -304,7 +304,7 @@ func TestRoundFractionalValidAndSized(t *testing.T) {
 func TestRoundFractionalEmptyCandidates(t *testing.T) {
 	g := graph.Path(5)
 	res := Central(g, eps)
-	m := RoundFractional(g, res, make([]bool, 5), rng.New(1))
+	m := RoundFractional(res, make([]bool, 5), rng.New(1))
 	if m.Size() != 0 {
 		t.Error("rounding with no candidates produced edges")
 	}

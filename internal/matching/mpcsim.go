@@ -176,15 +176,17 @@ func Simulate(g *graph.Graph, opts SimOptions) (*SimResult, error) {
 	// simulateOn snapshots the meter's costs before returning, so the
 	// backend scratch can go back to the pool here.
 	defer mt.Close()
-	return simulateOn(g, opts, mt)
+	return simulateOn(new(simState), g, opts, mt)
 }
 
-// simulateOn runs the simulation against an existing meter, so callers
-// (the integral pipeline) can accumulate the costs of several
-// invocations on one backend. Rounds, TotalWords and Violations in the
-// result are deltas relative to the meter state at entry;
-// MaxMachineWords is the meter's cumulative per-round maximum.
-func simulateOn(g *graph.Graph, opts SimOptions, mt meter.Meter) (*SimResult, error) {
+// simulateOn runs the simulation on st, which it resets to g, against an
+// existing meter, so callers (the integral pipeline) can accumulate the
+// costs of several invocations on one backend and one state. The
+// result's Frac aliases st's arrays until st is next reset. Rounds,
+// TotalWords and Violations in the result are deltas relative to the
+// meter state at entry; MaxMachineWords is the meter's cumulative
+// per-round maximum.
+func simulateOn(st *simState, g *graph.Graph, opts SimOptions, mt meter.Meter) (*SimResult, error) {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
 	eps := opts.Eps
@@ -196,7 +198,7 @@ func simulateOn(g *graph.Graph, opts SimOptions, mt meter.Meter) (*SimResult, er
 	oracle := rng.NewThresholdOracle(rng.Hash(opts.Seed, 0x7472), lo, hi)
 	partSrc := rng.New(opts.Seed).SplitString("partition")
 
-	st := newSimState(g, eps, opts.Workers)
+	st.reset(g, eps, opts.Workers)
 	res := &SimResult{}
 	base := mt.Costs()
 
@@ -282,6 +284,9 @@ func phaseIterations(m int, eps float64, opts SimOptions) int {
 // in neighbour order before it is next read. A clean yold has the same
 // terms in the same order as a fresh sum, so it has the same bits.
 // Neither is meaningful for a frozen or removed vertex.
+//
+// The zero value is ready for reset, which starts a run on a graph; a
+// reset keeps the arrays, the weight memo and the schedule scratch.
 type simState struct {
 	g       *graph.Graph
 	eps     float64
@@ -311,31 +316,37 @@ type simState struct {
 	sched    freezeSchedule // reused by every phase and the direct stage
 }
 
-func newSimState(g *graph.Graph, eps float64, workers int) *simState {
+// reset starts a run on g at the given ε: every vertex in V',
+// unfrozen, with its full degree and no frozen weight.
+func (st *simState) reset(g *graph.Graph, eps float64, workers int) {
 	n := g.NumVertices()
-	st := &simState{
-		g:          g,
-		eps:        eps,
-		w0:         (1 - 2*eps) / math.Max(float64(n), 1),
-		workers:    workers,
-		inV:        make([]bool, n),
-		freezeIter: make([]int32, n),
-		cover:      make([]bool, n),
-		deg:        make([]int32, n),
-		yold:       make([]float64, n),
-		dirty:      make([]bool, n),
-		pow:        []float64{1},
-		part:       make([]int32, n),
-		localDeg:   make([]int32, n),
-		deg0:       make([]int32, n),
+	if len(st.pow) == 0 || eps != st.eps {
+		st.pow = append(st.pow[:0], 1)
 	}
+	st.g, st.eps, st.t, st.workers = g, eps, 0, workers
+	st.w0 = (1 - 2*eps) / math.Max(float64(n), 1)
+	st.inV = resize(st.inV, n)
+	st.freezeIter = resize(st.freezeIter, n)
+	st.cover = resize(st.cover, n)
+	st.deg = resize(st.deg, n)
+	st.yold = resize(st.yold, n)
+	st.dirty = resize(st.dirty, n)
+	st.part = resize(st.part, n)
+	st.localDeg = resize(st.localDeg, n)
+	st.deg0 = resize(st.deg0, n)
+	clear(st.cover)
+	clear(st.yold)
+	clear(st.dirty)
 	for v := range st.inV {
 		st.inV[v] = true
 		st.freezeIter[v] = -1
 		st.deg[v] = int32(g.Degree(int32(v)))
 	}
-	return st
 }
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The entries are stale.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // wAt returns the weight of an edge frozen at iteration t (or active at
 // current iteration t): w0/(1-eps)^t.
@@ -344,20 +355,6 @@ func (st *simState) wAt(t int) float64 {
 		st.pow = append(st.pow, st.pow[len(st.pow)-1]/(1-st.eps))
 	}
 	return st.w0 * st.pow[t]
-}
-
-// edgeWeightAt returns the current weight of edge {u,v} (both in V'),
-// using the last iteration both endpoints were active, capped at now.
-func (st *simState) edgeWeightAt(u, v int32, now int) float64 {
-	tu, tv := st.freezeIter[u], st.freezeIter[v]
-	te := now
-	if tu >= 0 && int(tu) < te {
-		te = int(tu)
-	}
-	if tv >= 0 && int(tv) < te {
-		te = int(tv)
-	}
-	return st.wAt(te)
 }
 
 // frozen reports whether v froze already.
@@ -381,7 +378,7 @@ func (st *simState) weight(v int32) float64 {
 	s := 0.0
 	for _, u := range st.g.Neighbors(v) {
 		if st.inV[u] {
-			s += st.edgeWeightAt(v, u, st.t)
+			s += st.wAt(edgeLevel(st.freezeIter[v], st.freezeIter[u], st.t))
 		}
 	}
 	return s
@@ -404,8 +401,9 @@ const (
 	// heavyTol is the slack of Line (i): a vertex leaves V' when its
 	// weight exceeds 1+heavyTol.
 	heavyTol = 1e-12
-	// boundSlack covers the rounding of the phase end's weight bound. It
-	// is more than twice the relative rounding error of any float sum of
+	// boundSlack covers the rounding of a weight bound: the phase end's,
+	// and RoundFractional's on the draws that can choose an edge. It is
+	// more than twice the relative rounding error of any float sum of
 	// fewer than 2³¹ non-negative terms, so a bound times 1+boundSlack is
 	// never below the weight it bounds, whichever of the two sums rounds
 	// up.
@@ -594,12 +592,6 @@ func (st *simState) runPhase(
 	// the two coupled processes.
 	if probe != nil {
 		diff := make([]float64, n)
-		capIter := func(f int32) int {
-			if f >= 0 && int(f) < st.t {
-				return int(f)
-			}
-			return st.t
-		}
 		for v := int32(0); v < n; v++ {
 			if part[v] < 0 {
 				continue
@@ -608,14 +600,8 @@ func (st *simState) runPhase(
 				if u <= v || part[u] < 0 {
 					continue
 				}
-				simTe := capIter(st.freezeIter[v])
-				if s2 := capIter(st.freezeIter[u]); s2 < simTe {
-					simTe = s2
-				}
-				hypTe := capIter(hypoFreeze[v])
-				if h2 := capIter(hypoFreeze[u]); h2 < hypTe {
-					hypTe = h2
-				}
+				simTe := edgeLevel(st.freezeIter[v], st.freezeIter[u], st.t)
+				hypTe := edgeLevel(hypoFreeze[v], hypoFreeze[u], st.t)
 				d := math.Abs(st.wAt(simTe) - st.wAt(hypTe))
 				diff[v] += d
 				diff[u] += d
@@ -796,41 +782,36 @@ func (st *simState) hasActiveEdge(v int32) bool {
 	return false
 }
 
-// finalize assembles the fractional matching output: edges inside the
-// final V' carry their reconciled weights; edges touching removed
-// vertices carry zero (they are covered by the removed endpoints).
-// X entries are disjoint per edge and each Y entry is gathered inside
-// one vertex's body, so both fills fan out deterministically.
+// finalize assembles the fractional matching output from the state:
+// edges inside the final V' carry their reconciled weights; edges
+// touching removed vertices carry zero (they are covered by the removed
+// endpoints). Each Y entry is gathered inside one vertex's body, so the
+// fill fans out deterministically.
 func (st *simState) finalize() *FracResult {
 	g := st.g
 	n := g.NumVertices()
-	ix := graph.NewEdgeIndexWorkers(g, st.workers)
+	ladder := make([]float64, st.t+1)
+	for k := range ladder {
+		ladder[k] = st.wAt(k)
+	}
 	res := &FracResult{
-		Ix:         ix,
-		X:          make([]float64, ix.NumEdges()),
 		Y:          make([]float64, n),
 		Cover:      st.cover,
 		Iterations: st.t,
+		g:          g,
+		level:      st.freezeIter,
+		inV:        st.inV,
+		ladder:     ladder,
 	}
-	st.wAt(st.t) // pre-grow the weight memo
 	par.For(st.workers, n, func(lo, hi, _ int) {
 		for v := int32(lo); v < int32(hi); v++ {
 			if !st.inV[v] {
 				continue
 			}
-			// The edges {v,u} with u > v have consecutive ids in
-			// neighbour order, from v's upper suffix on.
-			upper, id := ix.Upper(v)
+			// A neighbour outside V' adds +0, which changes no bits.
 			s := 0.0
-			for k, u := range g.Neighbors(v) {
-				if !st.inV[u] {
-					continue
-				}
-				w := st.edgeWeightAt(v, u, st.t)
-				s += w
-				if k >= upper {
-					res.X[id+int32(k-upper)] = w
-				}
+			for _, u := range g.Neighbors(v) {
+				s += res.EdgeWeight(v, u)
 			}
 			res.Y[v] = s
 		}

@@ -130,13 +130,16 @@ func ApproxMaxMatching(g *graph.Graph, opts PipelineOptions) (*PipelineResult, e
 	for i := range active {
 		active[i] = true
 	}
+	// sub is the residue, the subgraph induced by the active vertices.
+	// active only shrinks, so each residue is cut from the last one; the
+	// cut keeps neighbour order, so it equals the cut from g.
+	sub := g
+	// Every invocation runs on one simulation state; its result aliases
+	// the state and is consumed before the next invocation resets it.
+	st := new(simState)
 	emptyStreak := 0
-	for inv := 0; inv < maxInv; inv++ {
-		sub := g.SubgraphWorkers(active, opts.Workers)
-		if sub.NumEdges() == 0 {
-			break
-		}
-		sim, err := simulateOn(sub, SimOptions{
+	for inv := 0; inv < maxInv && sub.NumEdges() > 0; inv++ {
+		sim, err := simulateOn(st, sub, SimOptions{
 			Seed:         rng.Hash(opts.Seed, uint64(inv)),
 			Eps:          epsPrime,
 			MemoryFactor: opts.MemoryFactor,
@@ -155,7 +158,7 @@ func ApproxMaxMatching(g *graph.Graph, opts PipelineOptions) (*PipelineResult, e
 			Words:  sim.TotalWords,
 		})
 		candidate := CandidateSet(sim.Frac, 5*epsPrime)
-		mNew := RoundFractional(sub, sim.Frac, candidate, roundSrc)
+		mNew := RoundFractional(sim.Frac, candidate, roundSrc)
 		added := 0
 		for _, e := range mNew.Edges() {
 			if res.M[e[0]] == -1 && res.M[e[1]] == -1 {
@@ -169,9 +172,10 @@ func ApproxMaxMatching(g *graph.Graph, opts PipelineOptions) (*PipelineResult, e
 			if emptyStreak >= 2 {
 				break
 			}
-		} else {
-			emptyStreak = 0
+			continue
 		}
+		emptyStreak = 0
+		sub = sub.SubgraphWorkers(active, opts.Workers)
 	}
 	res.CoreSize = res.M.Size()
 
@@ -180,7 +184,6 @@ func ApproxMaxMatching(g *graph.Graph, opts PipelineOptions) (*PipelineResult, e
 		// matching, handled by the filtering small-matching path; we
 		// complete greedily, charging every filtering sample gather on
 		// the shared backend.
-		sub := g.SubgraphWorkers(active, opts.Workers)
 		if sub.NumEdges() > 0 {
 			mt.SetActive(graph.CountMarked(active))
 			fr := FilteringMaximalMatching(sub, int64(16*n), rng.New(opts.Seed).SplitString("finish"))

@@ -10,13 +10,14 @@ import (
 // least 1-β) draws X_v — neighbor u with probability x_{uv}/10, the
 // symbol ⋆ with the remaining mass. H is the set of chosen edges; an edge
 // is good when no other chosen edge touches it, and the good edges form
-// the output matching. The lemma guarantees at least |C̃|/50 good edges
-// with probability 1 - 2exp(-|C̃|/5000); experiment E8 measures the
-// realized constant.
+// the output matching on frac's graph. The lemma guarantees at least
+// |C̃|/50 good edges with probability 1 - 2exp(-|C̃|/5000); experiment E8
+// measures the realized constant.
 //
 // Every decision is local to a vertex and its incident edges, so the
 // procedure costs O(1) rounds in the MPC model, as Section 5 observes.
-func RoundFractional(g *graph.Graph, frac *FracResult, candidate []bool, src *rng.Source) graph.Matching {
+func RoundFractional(frac *FracResult, candidate []bool, src *rng.Source) graph.Matching {
+	g := frac.g
 	n := g.NumVertices()
 	chosen := make([]int32, n)
 	for v := range chosen {
@@ -27,16 +28,16 @@ func RoundFractional(g *graph.Graph, frac *FracResult, candidate []bool, src *rn
 			continue
 		}
 		r := src.Float64()
+		// acc only grows, and ends at Σ x/10 up to rounding; Y[v] is Σ x
+		// up to rounding, and boundSlack covers both. So a draw at or
+		// past this bound, about nine in ten since y ≤ 1, would scan the
+		// whole list and choose ⋆: it chooses ⋆ without the scan.
+		if r >= frac.Y[v]/10*(1+boundSlack) {
+			continue
+		}
 		acc := 0.0
-		// Only the edges {v,u} with u < v need a search: the others have
-		// consecutive ids from v's upper suffix on.
-		upper, first := frac.Ix.Upper(v)
-		for k, u := range g.Neighbors(v) {
-			id := first + int32(k-upper)
-			if k < upper {
-				id = frac.Ix.ID(u, v)
-			}
-			x := frac.X[id]
+		for _, u := range g.Neighbors(v) {
+			x := frac.EdgeWeight(v, u)
 			if x <= 0 {
 				continue
 			}
@@ -47,36 +48,28 @@ func RoundFractional(g *graph.Graph, frac *FracResult, candidate []bool, src *rn
 			}
 		}
 	}
-	// H as a set of edges; degH counts incidences.
+	// degH counts the incidences of H. An edge both endpoints chose is
+	// one edge of H, counted at its smaller end.
 	degH := make([]int32, n)
-	type edge struct{ u, v int32 }
-	seen := make(map[edge]bool)
-	var h []edge
-	for v := int32(0); v < int32(n); v++ {
-		u := chosen[v]
-		if u == -1 {
-			continue
+	for v, u := range chosen {
+		if inH(chosen, int32(v), u) {
+			degH[v]++
+			degH[u]++
 		}
-		a, b := v, u
-		if a > b {
-			a, b = b, a
-		}
-		e := edge{a, b}
-		if seen[e] {
-			continue // both endpoints picked the same edge: one copy in H
-		}
-		seen[e] = true
-		h = append(h, e)
-		degH[a]++
-		degH[b]++
 	}
 	m := graph.NewMatching(n)
-	for _, e := range h {
-		if degH[e.u] == 1 && degH[e.v] == 1 {
-			m.Match(e.u, e.v)
+	for v, u := range chosen {
+		if inH(chosen, int32(v), u) && degH[v] == 1 && degH[u] == 1 {
+			m.Match(int32(v), u)
 		}
 	}
 	return m
+}
+
+// inH reports whether v's choice u adds the edge {v, u} to H: v chose
+// an edge, and it is not the larger end of an edge chosen by both.
+func inH(chosen []int32, v, u int32) bool {
+	return u != -1 && (u > v || chosen[u] != v)
 }
 
 // CandidateSet returns the paper's C̃ for rounding: cover vertices whose

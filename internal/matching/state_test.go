@@ -3,10 +3,12 @@ package matching
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"mpcgraph/internal/graph"
 	"mpcgraph/internal/machine/meter"
+	"mpcgraph/internal/model"
 	"mpcgraph/internal/rng"
 	"mpcgraph/internal/scenario"
 )
@@ -72,7 +74,8 @@ func drivePhases(t *testing.T, name string, g *graph.Graph, opts SimOptions) (fr
 	}
 	oracle := rng.NewThresholdOracle(rng.Hash(opts.Seed, 0x7472), lo, hi)
 	partSrc := rng.New(opts.Seed).SplitString("partition")
-	st := newSimState(g, opts.Eps, opts.Workers)
+	st := new(simState)
+	st.reset(g, opts.Eps, opts.Workers)
 	d := float64(n)
 	for phase := 0; d > opts.DCut(n) && phase < 64; phase++ {
 		m := min(int(math.Sqrt(d)), meter.SimMachines(n))
@@ -135,5 +138,53 @@ func checkCarriedState(t *testing.T, name string, st *simState) {
 		if !st.dirty[v] && math.Float64bits(st.yold[v]) != math.Float64bits(yold) {
 			t.Fatalf("%s: vertex %d is clean with yold %v, recount %v", name, v, st.yold[v], yold)
 		}
+	}
+}
+
+// TestReusedStateMatchesFresh runs simulateOn on a sequence of graphs
+// with one state, as the integral pipeline does, and compares each
+// result, PhaseStats, stages and the fractional result included, with
+// the result of a fresh state. The sequence changes the vertex count,
+// the ε and the worker count between runs, and repeats a graph.
+func TestReusedStateMatchesFresh(t *testing.T) {
+	gnp := graph.GNP(1<<10, 0.03, rng.New(1))
+	rmat, err := scenario.Generate("rmat", 1<<11, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		g    *graph.Graph
+		opts SimOptions
+	}{
+		{gnp, SimOptions{Seed: 1, Eps: 0.02, Workers: 1}},
+		{rmat.G, SimOptions{Seed: 2, Eps: 0.02, Workers: 1}},
+		{rmat.G, SimOptions{Seed: 3, Eps: 0.1, Workers: 0}},
+		{gnp, SimOptions{Seed: 4, Eps: 0.1, Workers: 4, Model: model.CongestedClique}},
+	}
+	simulate := func(st *simState, g *graph.Graph, opts SimOptions) *SimResult {
+		t.Helper()
+		mt, err := meter.New(opts.Model, meter.Config{N: g.NumVertices(), MemoryFactor: 16, Workers: opts.Workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mt.Close()
+		res, err := simulateOn(st, g, opts, mt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	shared := new(simState)
+	phases := 0
+	for i, r := range runs {
+		got := simulate(shared, r.g, r.opts)
+		want := simulate(new(simState), r.g, r.opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: the reused state's result differs from a fresh state's", i)
+		}
+		phases += got.Phases
+	}
+	if phases == 0 {
+		t.Fatal("no run had a phase")
 	}
 }
