@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -204,54 +205,164 @@ func TestParseFormat(t *testing.T) {
 }
 
 // TestReaderErrors: each dialect rejects its documented malformations
-// with an error instead of panicking or silently misreading.
+// with its exact error text, instead of panicking or silently
+// misreading. The strings pin the line numbers, the precedence between
+// faults (an entry-count overflow is reported at the overflowing line,
+// ahead of a later parse error or a bad weight on that line) and, for
+// weighted formats, the first conflicting mention in input order.
 func TestReaderErrors(t *testing.T) {
+	const (
+		mmPattern = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+		mmReal    = "%%MatrixMarket matrix coordinate real symmetric\n"
+	)
 	cases := []struct {
 		name   string
 		format Format
 		in     string
+		want   string
 	}{
-		{"dimacs-no-problem", FormatDIMACS, "e 1 2\n"},
-		{"dimacs-double-problem", FormatDIMACS, "p edge 2 1\np edge 2 1\ne 1 2\n"},
-		{"dimacs-count-short", FormatDIMACS, "p edge 3 2\ne 1 2\n"},
-		{"dimacs-count-long", FormatDIMACS, "p edge 3 1\ne 1 2\ne 2 3\n"},
-		{"dimacs-self-loop", FormatDIMACS, "p edge 3 1\ne 2 2\n"},
-		{"dimacs-zero-vertex", FormatDIMACS, "p edge 3 1\ne 0 1\n"},
-		{"dimacs-n-over-cap", FormatDIMACS, "p edge 999999999 0\n"},
-		{"metis-n-over-cap", FormatMETIS, "999999999 0\n"},
-		{"mm-n-over-cap", FormatMatrixMarket, "%%MatrixMarket matrix coordinate pattern symmetric\n999999999 999999999 0\n"},
-		{"el-n-over-cap", FormatEdgeList, "n 999999999\n"},
-		{"el-id-over-cap", FormatEdgeList, "0 999999999\n"},
-		{"wel-n-over-cap", FormatWeightedEdgeList, "n 999999999\n"},
-		{"dimacs-out-of-range", FormatDIMACS, "p edge 3 1\ne 1 4\n"},
-		{"dimacs-junk-line", FormatDIMACS, "p edge 2 1\nx 1 2\ne 1 2\n"},
-		{"metis-missing-header", FormatMETIS, ""},
-		{"metis-truncated", FormatMETIS, "3 2\n2\n"},
-		{"metis-extra-lines", FormatMETIS, "2 1\n2\n1\n3\n"},
-		{"metis-entry-mismatch", FormatMETIS, "3 2\n2\n1\n\n"},
-		{"metis-self-loop", FormatMETIS, "2 1\n1\n1\n"},
-		{"metis-vertex-weights", FormatMETIS, "2 1 011\n1 2\n1 1\n"},
-		{"metis-odd-weight-tokens", FormatMETIS, "2 1 001\n2 1.5\n1\n"},
-		{"metis-nonpositive-weight", FormatMETIS, "2 1 001\n2 0\n1 0\n"},
-		{"mm-no-banner", FormatMatrixMarket, "3 3 1\n1 2\n"},
-		{"mm-array", FormatMatrixMarket, "%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n"},
-		{"mm-complex", FormatMatrixMarket, "%%MatrixMarket matrix coordinate complex symmetric\n2 2 1\n2 1 1 0\n"},
-		{"mm-not-square", FormatMatrixMarket, "%%MatrixMarket matrix coordinate pattern general\n2 3 1\n1 2\n"},
-		{"mm-diagonal", FormatMatrixMarket, "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1\n2 2\n"},
-		{"mm-count-short", FormatMatrixMarket, "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n"},
-		{"mm-conflicting-weights", FormatMatrixMarket, "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.5\n2 1 2.5\n"},
-		{"wel-two-fields", FormatWeightedEdgeList, "0 1\n"},
-		{"wel-negative-weight", FormatWeightedEdgeList, "0 1 -2\n"},
-		{"wel-nan-weight", FormatWeightedEdgeList, "0 1 NaN\n"},
-		{"wel-conflict", FormatWeightedEdgeList, "0 1 2\n1 0 3\n"},
+		{"dimacs-no-problem", FormatDIMACS, "e 1 2\n",
+			`graphio: line 1: edge before problem line`},
+		{"dimacs-double-problem", FormatDIMACS, "p edge 2 1\np edge 2 1\ne 1 2\n",
+			`graphio: line 2: duplicate problem line`},
+		{"dimacs-problem-after-edge", FormatDIMACS, "p edge 3 2\ne 1 2\np edge 3 2\ne 2 3\n",
+			`graphio: line 3: duplicate problem line`},
+		{"dimacs-count-short", FormatDIMACS, "p edge 3 2\ne 1 2\n",
+			`graphio: 1 edge lines but problem line declared 2`},
+		{"dimacs-count-long", FormatDIMACS, "p edge 3 1\ne 1 2\ne 2 3\n",
+			`graphio: 2 edge lines but problem line declared 1`},
+		{"dimacs-count-over-mid-file", FormatDIMACS, "p edge 4 1\ne 1 2\ne 2 3\ne 3 4\n",
+			`graphio: 3 edge lines but problem line declared 1`},
+		{"dimacs-count-over-then-junk", FormatDIMACS, "p edge 4 1\ne 1 2\ne 2 3\nx 3 4\n",
+			`graphio: line 4: unknown DIMACS line "x 3 4"`},
+		{"dimacs-self-loop", FormatDIMACS, "p edge 3 1\ne 2 2\n",
+			`graphio: line 2: self-loop at 2`},
+		{"dimacs-zero-vertex", FormatDIMACS, "p edge 3 1\ne 0 1\n",
+			`graphio: line 2: bad vertex "0"`},
+		{"dimacs-n-over-cap", FormatDIMACS, "p edge 999999999 0\n",
+			`graphio: line 1: bad vertex count "999999999" (limit 134217728)`},
+		{"dimacs-out-of-range", FormatDIMACS, "p edge 3 1\ne 1 4\n",
+			`graphio: line 2: vertex 4 out of range`},
+		{"dimacs-junk-line", FormatDIMACS, "p edge 2 1\nx 1 2\ne 1 2\n",
+			`graphio: line 2: unknown DIMACS line "x 1 2"`},
+		{"dimacs-unicode-space", FormatDIMACS, "p edge 3 1\ne 1\u00a02 3\n",
+			`graphio: line 2: want 'e <u> <v>', got "e 1\u00a02 3"`},
+		{"dimacs-p-col-bad-count", FormatDIMACS, "p col 3 x\n",
+			`graphio: line 1: bad edge count "x"`},
+		{"dimacs-p-col-count-short", FormatDIMACS, "c old\np col 3 2\ne 1 3\n",
+			`graphio: 1 edge lines but problem line declared 2`},
+		{"metis-n-over-cap", FormatMETIS, "999999999 0\n",
+			`graphio: line 1: bad vertex count "999999999" (limit 134217728)`},
+		{"mm-n-over-cap", FormatMatrixMarket, mmPattern + "999999999 999999999 0\n",
+			`graphio: line 2: bad vertex count "999999999" (limit 134217728)`},
+		{"el-n-over-cap", FormatEdgeList, "n 999999999\n",
+			`graphio: line 1: bad vertex count "999999999" (limit 134217728)`},
+		{"el-id-over-cap", FormatEdgeList, "0 999999999\n",
+			`graphio: line 1: vertex 999999999 out of range`},
+		{"wel-n-over-cap", FormatWeightedEdgeList, "n 999999999\n",
+			`graphio: line 1: bad vertex count "999999999" (limit 134217728)`},
+		{"metis-missing-header", FormatMETIS, "",
+			`graphio: missing METIS header`},
+		{"metis-truncated", FormatMETIS, "3 2\n2\n",
+			`graphio: METIS file ends after 1 of 3 vertex lines`},
+		{"metis-extra-lines", FormatMETIS, "2 1\n2\n1\n3\n",
+			`graphio: line 4: content after 2 METIS vertex lines`},
+		{"metis-entry-mismatch", FormatMETIS, "3 2\n2\n1\n\n",
+			`graphio: 2 adjacency entries but METIS header declared m=2 (want 4 entries)`},
+		{"metis-self-loop", FormatMETIS, "2 1\n1\n1\n",
+			`graphio: line 2: self-loop at 1`},
+		{"metis-vertex-weights", FormatMETIS, "2 1 011\n1 2\n1 1\n",
+			`graphio: line 1: unsupported METIS fmt "011" (only edge weights, fmt 001, are supported)`},
+		{"metis-odd-weight-tokens", FormatMETIS, "2 1 001\n2 1.5\n1\n",
+			`graphio: line 3: odd token count 1 on weighted METIS vertex line`},
+		{"metis-nonpositive-weight", FormatMETIS, "2 1 001\n2 0\n1 0\n",
+			`graphio: line 2: edge weight "0" must be a positive finite number`},
+		{"metis-weight-conflict", FormatMETIS, "3 2 001\n2 1 3 2\n1 1\n1 4\n",
+			`graphio: conflicting weights 2 and 4 for edge {2,0}`},
+		{"mm-no-banner", FormatMatrixMarket, "3 3 1\n1 2\n",
+			`graphio: line 1: want '%%MatrixMarket matrix coordinate <field> <symmetry>', got "3 3 1"`},
+		{"mm-array", FormatMatrixMarket, "%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n",
+			`graphio: line 1: want '%%MatrixMarket matrix coordinate <field> <symmetry>', got "%%MatrixMarket matrix array real general"`},
+		{"mm-complex", FormatMatrixMarket, "%%MatrixMarket matrix coordinate complex symmetric\n2 2 1\n2 1 1 0\n",
+			`graphio: line 1: unsupported MatrixMarket field "complex" (want pattern, real or integer)`},
+		{"mm-not-square", FormatMatrixMarket, "%%MatrixMarket matrix coordinate pattern general\n2 3 1\n1 2\n",
+			`graphio: line 2: adjacency matrix must be square, got 2x3`},
+		{"mm-diagonal", FormatMatrixMarket, mmPattern + "3 3 1\n2 2\n",
+			`graphio: line 3: diagonal entry (self-loop) at 2`},
+		{"mm-count-short", FormatMatrixMarket, mmPattern + "3 3 2\n2 1\n",
+			`graphio: 1 entries but size line declared 2`},
+		{"mm-count-over-mid-file", FormatMatrixMarket, mmPattern + "4 4 1\n2 1\n3 2\n4 3\n",
+			`graphio: line 4: more than the declared 1 entries`},
+		{"mm-count-over-then-junk", FormatMatrixMarket, mmPattern + "4 4 1\n2 1\n3 2\nx y\n",
+			`graphio: line 4: more than the declared 1 entries`},
+		{"mm-count-over-on-bad-weight", FormatMatrixMarket, mmReal + "4 4 1\n2 1 1\n3 2 -1\n",
+			`graphio: line 4: more than the declared 1 entries`},
+		{"mm-size-after-entry", FormatMatrixMarket, mmPattern + "3 3 2\n2 1\n3 3 2\n3 2\n",
+			`graphio: line 4: want 2 fields, got "3 3 2"`},
+		{"mm-unicode-space", FormatMatrixMarket, mmPattern + "3 3 1\n2\u00a01 3\n",
+			`graphio: line 3: want 2 fields, got "2\u00a01 3"`},
+		{"mm-p-col", FormatMatrixMarket, mmPattern + "3 3 1\np col 3 1\n",
+			`graphio: line 3: want 2 fields, got "p col 3 1"`},
+		{"mm-conflicting-weights", FormatMatrixMarket, "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.5\n2 1 2.5\n",
+			`graphio: conflicting weights 1.5 and 2.5 for edge {1,0}`},
+		{"wel-two-fields", FormatWeightedEdgeList, "0 1\n",
+			`graphio: line 1: want 'u v w', got "0 1"`},
+		{"wel-negative-weight", FormatWeightedEdgeList, "0 1 -2\n",
+			`graphio: line 1: edge weight "-2" must be a positive finite number`},
+		{"wel-nan-weight", FormatWeightedEdgeList, "0 1 NaN\n",
+			`graphio: line 1: edge weight "NaN" must be a positive finite number`},
+		{"wel-conflict", FormatWeightedEdgeList, "0 1 2\n1 0 3\n",
+			`graphio: conflicting weights 2 and 3 for edge {1,0}`},
+		{"wel-conflict-first", FormatWeightedEdgeList, "0 1 2\n1 0 3\n2 3 1\n3 2 1\n",
+			`graphio: conflicting weights 2 and 3 for edge {1,0}`},
+		{"wel-conflict-last", FormatWeightedEdgeList, "0 1 2\n2 3 1\n3 2 1\n1 0 3\n",
+			`graphio: conflicting weights 2 and 3 for edge {1,0}`},
+		{"wel-conflict-between-agreeing", FormatWeightedEdgeList, "0 1 2\n1 0 2\n0 1 5\n1 0 2\n",
+			`graphio: conflicting weights 2 and 5 for edge {0,1}`},
+		{"wel-conflict-input-order", FormatWeightedEdgeList, "2 3 1\n0 1 1\n3 2 7\n1 0 9\n",
+			`graphio: conflicting weights 1 and 7 for edge {3,2}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Read(strings.NewReader(tc.in), tc.format); err == nil {
-				t.Errorf("input %q accepted", tc.in)
+			_, err := Read(strings.NewReader(tc.in), tc.format)
+			if err == nil {
+				t.Fatalf("input %q accepted", tc.in)
+			}
+			if err.Error() != tc.want {
+				t.Errorf("input %q:\n got %s\nwant %s", tc.in, err, tc.want)
 			}
 		})
 	}
+	// A line of maxLine bytes or more is the scanner's token-too-long
+	// error, reported once the lines before it have parsed. The long
+	// line is streamed, so the test holds no copy of it.
+	tooLong := []struct {
+		name   string
+		format Format
+		head   string
+	}{
+		{"dimacs-too-long", FormatDIMACS, "p edge 3 1\ne 1 2\nc "},
+		{"mm-too-long", FormatMatrixMarket, mmPattern + "3 3 1\n2 1\n% "},
+	}
+	for _, tc := range tooLong {
+		t.Run(tc.name, func(t *testing.T) {
+			in := io.MultiReader(strings.NewReader(tc.head), io.LimitReader(repeatByte('x'), maxLine+16))
+			_, err := Read(in, tc.format)
+			if want := "graphio: bufio.Scanner: token too long"; err == nil || err.Error() != want {
+				t.Errorf("got %v, want %s", err, want)
+			}
+		})
+	}
+}
+
+// repeatByte is an endless stream of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 // TestReaderLeniency: documented tolerances must keep working.
