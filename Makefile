@@ -104,7 +104,7 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
 
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/graph/ ./internal/mpc/ ./internal/mis/ ./internal/matching/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/graph/ ./internal/graphio/ ./internal/mpc/ ./internal/mis/ ./internal/matching/
 
 # The perf trajectory artifact: the E1..E18 smoke sweep in machine-
 # readable form, committed as BENCH_PR10.json so successive PRs can diff

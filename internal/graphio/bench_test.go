@@ -27,7 +27,8 @@ func renderEL(b *testing.B, g *graph.Graph) []byte {
 	return buf.Bytes()
 }
 
-func renderWEL(b *testing.B, g *graph.Graph) []byte {
+// benchWeighted attaches the read benchmarks' weights to g.
+func benchWeighted(b *testing.B, g *graph.Graph) *graph.Weighted {
 	b.Helper()
 	weights := make([]float64, g.NumEdges())
 	src := rng.New(7)
@@ -38,68 +39,95 @@ func renderWEL(b *testing.B, g *graph.Graph) []byte {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return wg
+}
+
+// render writes d in format f.
+func render(b *testing.B, d *Data, f Format) []byte {
+	b.Helper()
 	var buf bytes.Buffer
-	if err := writeWeightedEdgeList(&buf, wg); err != nil {
+	if err := Write(&buf, d, f); err != nil {
 		b.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func BenchmarkReadEdgeList(b *testing.B) {
-	data := renderEL(b, benchData(b))
+func renderWEL(b *testing.B, g *graph.Graph) []byte {
+	return render(b, FromWeighted(benchWeighted(b, g)), FormatWeightedEdgeList)
+}
+
+// benchRead measures Read of data in format f.
+func benchRead(b *testing.B, data []byte, f Format) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadEdgeList(bytes.NewReader(data)); err != nil {
+		if _, err := Read(bytes.NewReader(data), f); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchWrite measures Write of d in format f.
+func benchWrite(b *testing.B, d *Data, f Format) {
+	b.SetBytes(int64(len(render(b, d, f))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Write(io.Discard, d, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadEdgeList(b *testing.B) {
+	benchRead(b, renderEL(b, benchData(b)), FormatEdgeList)
 }
 
 func BenchmarkReadWEL(b *testing.B) {
-	data := renderWEL(b, benchData(b))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Read(bytes.NewReader(data), FormatWeightedEdgeList); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRead(b, renderWEL(b, benchData(b)), FormatWeightedEdgeList)
+}
+
+func BenchmarkReadDIMACS(b *testing.B) {
+	benchRead(b, render(b, Unweighted(benchData(b)), FormatDIMACS), FormatDIMACS)
+}
+
+func BenchmarkReadMatrixMarket(b *testing.B) {
+	g := benchData(b)
+	b.Run("pattern", func(b *testing.B) {
+		benchRead(b, render(b, Unweighted(g), FormatMatrixMarket), FormatMatrixMarket)
+	})
+	b.Run("real", func(b *testing.B) {
+		benchRead(b, render(b, FromWeighted(benchWeighted(b, g)), FormatMatrixMarket), FormatMatrixMarket)
+	})
+}
+
+func BenchmarkReadMETIS(b *testing.B) {
+	g := benchData(b)
+	b.Run("plain", func(b *testing.B) {
+		benchRead(b, render(b, Unweighted(g), FormatMETIS), FormatMETIS)
+	})
+	b.Run("weighted", func(b *testing.B) {
+		benchRead(b, render(b, FromWeighted(benchWeighted(b, g)), FormatMETIS), FormatMETIS)
+	})
 }
 
 func BenchmarkWriteEdgeList(b *testing.B) {
-	g := benchData(b)
-	data := renderEL(b, g)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := WriteEdgeList(io.Discard, g); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchWrite(b, Unweighted(benchData(b)), FormatEdgeList)
 }
 
 func BenchmarkWriteWEL(b *testing.B) {
-	g := benchData(b)
-	weights := make([]float64, g.NumEdges())
-	src := rng.New(7)
-	for i := range weights {
-		weights[i] = src.Float64() + 0.5
-	}
-	wg, err := graph.NewWeighted(g, weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := renderWEL(b, g)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := writeWeightedEdgeList(io.Discard, wg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchWrite(b, FromWeighted(benchWeighted(b, benchData(b))), FormatWeightedEdgeList)
+}
+
+func BenchmarkWriteDIMACS(b *testing.B) {
+	benchWrite(b, Unweighted(benchData(b)), FormatDIMACS)
+}
+
+func BenchmarkWriteMatrixMarket(b *testing.B) {
+	benchWrite(b, Unweighted(benchData(b)), FormatMatrixMarket)
+}
+
+func BenchmarkWriteMETIS(b *testing.B) {
+	benchWrite(b, FromWeighted(benchWeighted(b, benchData(b))), FormatMETIS)
 }

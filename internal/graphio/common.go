@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"mpcgraph/internal/graph"
@@ -61,46 +62,46 @@ func parseWeight(tok string, line int) (float64, error) {
 	return w, nil
 }
 
-// formatWeight renders a weight so that parsing it back yields the exact
-// same float64 (shortest round-trip form).
-func formatWeight(w float64) string {
-	return strconv.FormatFloat(w, 'g', -1, 64)
-}
-
-// edgeKey canonicalizes an undirected edge for map lookups.
-func edgeKey(u, v int32) [2]int32 {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int32{u, v}
-}
-
 // assembleWeighted builds a weighted Data from parallel edge and weight
 // slices. Duplicate mentions of an edge are collapsed but must agree on
-// the weight; a conflict is an input error, not a silent overwrite.
+// the weight; a conflict is an input error, not a silent overwrite, and
+// the error names the first conflicting mention in input order.
+//
+// It is a stable sort-merge over the builder's packed (u,v) keys: after
+// the sort each edge's mentions form one run, in input order, and the
+// runs come in edge-id order, so the first mention of the k-th run
+// gives edge k its weight and the distinct keys are the builder's
+// already-sorted input.
 func assembleWeighted(n int, edges [][2]int32, weights []float64) (*Data, error) {
-	seen := make(map[[2]int32]float64, len(edges))
-	b := graph.NewBuilder(n)
+	keys := make([]uint64, len(edges))
 	for i, e := range edges {
-		key := edgeKey(e[0], e[1])
-		if prev, dup := seen[key]; dup {
-			if prev != weights[i] {
-				return nil, fmt.Errorf("graphio: conflicting weights %v and %v for edge {%d,%d}",
-					prev, weights[i], e[0], e[1])
+		keys[i] = graph.PackEdge(e[0], e[1])
+	}
+	perm := sortKeysStable(keys)
+	w := make([]float64, 0, len(keys))
+	bad := -1 // input position of the first conflicting mention
+	var prev float64
+	for k, key := range keys {
+		i := k
+		if perm != nil {
+			i = int(perm[k])
+		}
+		if m := len(w); m > 0 && key == keys[m-1] {
+			if weights[i] != w[m-1] && (bad < 0 || i < bad) {
+				bad, prev = i, w[m-1]
 			}
 			continue
 		}
-		seen[key] = weights[i]
-		b.AddEdge(e[0], e[1])
+		keys[len(w)] = key
+		w = append(w, weights[i])
 	}
-	g, err := b.Build()
+	if bad >= 0 {
+		return nil, fmt.Errorf("graphio: conflicting weights %v and %v for edge {%d,%d}",
+			prev, weights[bad], edges[bad][0], edges[bad][1])
+	}
+	g, err := graph.FromPackedEdges(n, keys[:len(w)])
 	if err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
-	}
-	ix := graph.NewEdgeIndex(g)
-	w := make([]float64, ix.NumEdges())
-	for key, weight := range seen {
-		w[ix.ID(key[0], key[1])] = weight
 	}
 	wg, err := graph.NewWeighted(g, w)
 	if err != nil {
@@ -109,14 +110,118 @@ func assembleWeighted(n int, edges [][2]int32, weights []float64) (*Data, error)
 	return FromWeighted(wg), nil
 }
 
-// forEachWeightedEdge iterates the undirected edges of wg with u < v in
-// lexicographic order together with their weights.
-func forEachWeightedEdge(wg *graph.Weighted, fn func(u, v int32, w float64) error) error {
-	var err error
-	wg.ForEachEdge(func(u, v int32) {
-		if err == nil {
-			err = fn(u, v, wg.EdgeWeight(u, v))
+// sortKeysStable sorts keys ascending with an LSD radix sort, skipping
+// the bytes every key shares, and returns perm: perm[k] is the input
+// position of the key now at k, and equal keys keep their input order.
+// Keys that are already sorted, as in every file graphio writes, stay
+// put and perm is nil.
+func sortKeysStable(keys []uint64) []int32 {
+	if slices.IsSorted(keys) {
+		return nil
+	}
+	or, and := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or, and = or|k, and&k
+	}
+	perm := make([]int32, len(keys))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	src, srcPerm := keys, perm
+	dst, dstPerm := make([]uint64, len(keys)), make([]int32, len(keys))
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(or>>shift) == byte(and>>shift) {
+			continue
 		}
+		var next [256]int
+		for _, k := range src {
+			next[byte(k>>shift)]++
+		}
+		pos := 0
+		for d, c := range next {
+			next[d], pos = pos, pos+c
+		}
+		for i, k := range src {
+			d := byte(k >> shift)
+			dst[next[d]], dstPerm[next[d]] = k, srcPerm[i]
+			next[d]++
+		}
+		src, dst = dst, src
+		srcPerm, dstPerm = dstPerm, srcPerm
+	}
+	copy(keys, src)
+	return srcPerm
+}
+
+// forEachWeightedEdge calls fn for the undirected edges of wg with
+// u < v in lexicographic order, with their weights. That is edge-id
+// order, so the weights are read in sequence, with no index search.
+func forEachWeightedEdge(wg *graph.Weighted, fn func(u, v int32, w float64)) {
+	id := 0
+	wg.ForEachEdge(func(u, v int32) {
+		fn(u, v, wg.W[id])
+		id++
 	})
-	return err
+}
+
+// writeFlush is the writers' flush threshold.
+const writeFlush = 1 << 16
+
+// lineWriter renders a file by appending into one reused buffer that
+// goes out in writeFlush-sized chunks, in place of a fmt.Fprintf
+// (reflection and interface allocations) per line. The first write
+// error sticks: later chunks are dropped and flush returns it.
+type lineWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func newLineWriter(w io.Writer) *lineWriter {
+	return &lineWriter{w: w, buf: make([]byte, 0, writeFlush+256)}
+}
+
+// ints appends vs separated by single spaces.
+func (lw *lineWriter) ints(vs ...int64) {
+	for i, v := range vs {
+		if i > 0 {
+			lw.buf = append(lw.buf, ' ')
+		}
+		lw.buf = strconv.AppendInt(lw.buf, v, 10)
+	}
+}
+
+// weight appends a space and w in the shortest form that parses back
+// to the same float64, strconv.FormatFloat(w, 'g', -1, 64).
+func (lw *lineWriter) weight(w float64) {
+	lw.buf = append(lw.buf, ' ')
+	lw.buf = strconv.AppendFloat(lw.buf, w, 'g', -1, 64)
+}
+
+// endLine ends the current line and spills a full buffer.
+func (lw *lineWriter) endLine() {
+	lw.buf = append(lw.buf, '\n')
+	lw.spill()
+}
+
+// spill writes the buffer out once it holds writeFlush bytes.
+func (lw *lineWriter) spill() {
+	if len(lw.buf) >= writeFlush {
+		lw.write()
+	}
+}
+
+// flush writes out what is left and reports the first write error.
+func (lw *lineWriter) flush() error {
+	if len(lw.buf) > 0 {
+		lw.write()
+	}
+	return lw.err
+}
+
+func (lw *lineWriter) write() {
+	if lw.err == nil {
+		_, lw.err = lw.w.Write(lw.buf)
+	}
+	lw.buf = lw.buf[:0]
 }

@@ -1,7 +1,6 @@
 package graphio
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -23,10 +22,16 @@ import (
 // synonym found in older instances. See docs/formats.md.
 
 func readDIMACS(r io.Reader) (*Data, error) {
+	return readDIMACSFast(r, 0)
+}
+
+// readDIMACSScanner is the bufio.Scanner-based reference reader; the
+// fast path in fastread.go is pinned against it by the parity and fuzz
+// suites.
+func readDIMACSScanner(r io.Reader) (*Data, error) {
 	sc := newScanner(r)
 	var (
 		b        *graph.Builder
-		n        int
 		declared int64 = -1
 		edges    int64
 		lineNo   int
@@ -44,33 +49,25 @@ func readDIMACS(r io.Reader) (*Data, error) {
 			if b != nil {
 				return nil, fmt.Errorf("graphio: line %d: duplicate problem line", lineNo)
 			}
-			fields := strings.Fields(line)
-			if len(fields) != 4 || (fields[1] != "edge" && fields[1] != "col") {
-				return nil, fmt.Errorf("graphio: line %d: want 'p edge <n> <m>', got %q", lineNo, line)
-			}
-			nn, err := parseVertexCount(fields[2], lineNo)
+			n, m, err := parseDIMACSProblem(line, lineNo)
 			if err != nil {
 				return nil, err
 			}
-			mm, err := strconv.ParseInt(fields[3], 10, 64)
-			if err != nil || mm < 0 {
-				return nil, fmt.Errorf("graphio: line %d: bad edge count %q", lineNo, fields[3])
-			}
-			n, declared = nn, mm
+			declared = m
 			b = graph.NewBuilder(n)
 		case 'e':
 			if b == nil {
-				return nil, fmt.Errorf("graphio: line %d: edge before problem line", lineNo)
+				return nil, dimacsLineErr(line, lineNo)
 			}
 			fields := strings.Fields(line)
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graphio: line %d: want 'e <u> <v>', got %q", lineNo, line)
 			}
-			u, err := parseVertex(fields[1], 1, n, lineNo)
+			u, err := parseVertex(fields[1], 1, b.NumVertices(), lineNo)
 			if err != nil {
 				return nil, err
 			}
-			v, err := parseVertex(fields[2], 1, n, lineNo)
+			v, err := parseVertex(fields[2], 1, b.NumVertices(), lineNo)
 			if err != nil {
 				return nil, err
 			}
@@ -80,7 +77,7 @@ func readDIMACS(r io.Reader) (*Data, error) {
 			b.AddEdge(u, v)
 			edges++
 		default:
-			return nil, fmt.Errorf("graphio: line %d: unknown DIMACS line %q", lineNo, line)
+			return nil, dimacsLineErr(line, lineNo)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -99,19 +96,45 @@ func readDIMACS(r io.Reader) (*Data, error) {
 	return Unweighted(g), nil
 }
 
+// parseDIMACSProblem parses the trimmed problem line "p edge <n> <m>".
+func parseDIMACSProblem(line string, lineNo int) (n int, m int64, err error) {
+	fields := strings.Fields(line)
+	if len(fields) != 4 || (fields[1] != "edge" && fields[1] != "col") {
+		return 0, 0, fmt.Errorf("graphio: line %d: want 'p edge <n> <m>', got %q", lineNo, line)
+	}
+	if n, err = parseVertexCount(fields[2], lineNo); err != nil {
+		return 0, 0, err
+	}
+	m, err = strconv.ParseInt(fields[3], 10, 64)
+	if err != nil || m < 0 {
+		return 0, 0, fmt.Errorf("graphio: line %d: bad edge count %q", lineNo, fields[3])
+	}
+	return n, m, nil
+}
+
+// dimacsLineErr rejects a trimmed line that may not come where it does
+// before the problem line: an edge, or one starting with anything but
+// c, p or e.
+func dimacsLineErr(line string, lineNo int) error {
+	if line[0] == 'e' {
+		return fmt.Errorf("graphio: line %d: edge before problem line", lineNo)
+	}
+	return fmt.Errorf("graphio: line %d: unknown DIMACS line %q", lineNo, line)
+}
+
 func writeDIMACS(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "p edge %d %d\n", g.NumVertices(), g.NumEdges()); err != nil {
-		return err
-	}
-	var writeErr error
+	lw := newLineWriter(w)
+	lw.buf = append(lw.buf, "p edge "...)
+	lw.buf = strconv.AppendInt(lw.buf, int64(g.NumVertices()), 10)
+	lw.buf = append(lw.buf, ' ')
+	lw.buf = strconv.AppendInt(lw.buf, int64(g.NumEdges()), 10)
+	lw.endLine()
 	g.ForEachEdge(func(u, v int32) {
-		if writeErr == nil {
-			_, writeErr = fmt.Fprintf(bw, "e %d %d\n", u+1, v+1)
-		}
+		lw.buf = append(lw.buf, 'e', ' ')
+		lw.buf = strconv.AppendInt(lw.buf, int64(u)+1, 10)
+		lw.buf = append(lw.buf, ' ')
+		lw.buf = strconv.AppendInt(lw.buf, int64(v)+1, 10)
+		lw.endLine()
 	})
-	if writeErr != nil {
-		return writeErr
-	}
-	return bw.Flush()
+	return lw.flush()
 }

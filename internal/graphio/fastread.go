@@ -14,25 +14,27 @@ import (
 	"mpcgraph/internal/par"
 )
 
-// This file is the fast parse path for the two native hot formats
-// (edge list and weighted edge list): a chunk-parallel byte-level
-// scanner replacing bufio.Scanner + strings.Fields + strconv on the
-// per-edge path. The contract is strict parity with the scanner-based
-// readers (readEdgeListScanner, readWELScanner, kept as the reference
-// implementation): identical parse results and byte-identical error
-// strings on every input, pinned by the parity suite and the fuzz
-// harnesses.
+// This file is the fast parse path for every line-per-entry format:
+// the edge list, the weighted edge list, DIMACS and MatrixMarket. A
+// chunk-parallel byte-level scanner replaces bufio.Scanner +
+// strings.Fields + strconv on the per-edge path. The contract is strict
+// parity with the scanner-based readers (readEdgeListScanner,
+// readWELScanner, readDIMACSScanner and readMatrixMarketScanner, kept
+// as the reference implementation): identical parse results and
+// byte-identical error strings on every input, pinned by the parity
+// suite and the fuzz harnesses.
 //
 // Shape: a windower accumulates large reads and hands out windows of
-// complete lines; each window is split at line boundaries into one
-// shard per worker; shards parse independently with an ASCII tokenizer
-// and custom integer parser, falling back to the reference per-line
-// logic for any line containing a byte >= 0x80 (strings.Fields splits
-// on Unicode whitespace, so only the reference path reproduces those
-// lines). Shard results merge in shard order, which makes edge order,
-// header precedence ("last header wins") and the reported error (the
-// earliest bad line) identical to the sequential scan for every worker
-// count.
+// complete lines. A format's prelude (the MatrixMarket banner and size
+// line, or the DIMACS comments and problem line) is parsed line by line
+// with the reference logic. The rest of each window is split at line
+// boundaries into one shard per worker; shards parse independently
+// with an ASCII tokenizer and custom integer parser, and any line
+// holding a byte >= 0x80 is tokenized by strings.Fields instead, since
+// only it splits on Unicode whitespace. Shard results merge in shard
+// order, which makes edge order, header precedence ("last header
+// wins"), entry counts and the reported error (the earliest bad line)
+// identical to the sequential scan for every worker count.
 
 // readWindow is the window accumulation target. Windows always end on
 // a line boundary, so their actual size is bounded by the line cap,
@@ -113,6 +115,14 @@ func (w *windower) consume(k int) []byte {
 	return w.buf[:k]
 }
 
+// cutLine splits data after its first line, dropping the '\n'.
+func cutLine(data string) (line, rest string) {
+	if nl := strings.IndexByte(data, '\n'); nl >= 0 {
+		return data[:nl], data[nl+1:]
+	}
+	return data, ""
+}
+
 // asciiSpace marks the ASCII bytes unicode.IsSpace reports as space
 // ('\n' excluded — it never appears inside a line).
 var asciiSpace = [256]bool{'\t': true, '\v': true, '\f': true, '\r': true, ' ': true}
@@ -125,96 +135,58 @@ const (
 	vRange
 )
 
-// parseVertexToken is parseVertex(tok, 0, -1, ...) without the error
-// construction: strconv.ParseInt semantics (optional sign, decimal
-// digits, int64 overflow is a syntax error) plus the MaxVertices bound.
-func parseVertexToken(tok string) (int32, int8) {
+// parseUintToken parses tok with strconv.ParseInt's base-10 grammar
+// (optional sign, decimal digits, int64 range). ok is false where
+// ParseInt fails or the value is negative; "-0" is 0.
+func parseUintToken(tok string) (v uint64, ok bool) {
 	i := 0
 	neg := false
 	if tok[0] == '+' || tok[0] == '-' {
 		neg = tok[0] == '-'
 		i++
 		if i == len(tok) {
-			return 0, vBad
+			return 0, false
 		}
 	}
-	var v uint64
-	over := false
 	for ; i < len(tok); i++ {
-		d := tok[i] - '0'
-		if d > 9 {
-			return 0, vBad
+		d := uint64(tok[i] - '0')
+		if d > 9 || v > (math.MaxInt64-d)/10 {
+			return 0, false
 		}
-		if over {
-			continue
-		}
-		if v > math.MaxUint64/10 {
-			over = true
-			continue
-		}
-		v = v*10 + uint64(d)
-		if v > math.MaxInt64 {
-			over = true
-		}
+		v = v*10 + d
 	}
-	switch {
-	case over, neg && v > 0:
-		return 0, vBad // ParseInt range/sign failure: "bad vertex"
-	case v >= MaxVertices:
+	return v, !neg || v == 0
+}
+
+// parseVertexToken is parseVertex(tok, base, bound) without the error
+// construction, for a bound of at most MaxVertices: "bad vertex" for a
+// ParseInt failure or a value below base, "out of range" for an id at
+// or past bound.
+func parseVertexToken(tok string, base, bound int) (int32, int8) {
+	v, ok := parseUintToken(tok)
+	if !ok || v < uint64(base) {
+		return 0, vBad
+	}
+	if v -= uint64(base); v >= uint64(bound) {
 		return 0, vRange
 	}
 	return int32(v), vOK
 }
 
-// parseCountToken is parseVertexCount without the error construction;
-// every failure mode shares one message, so ok suffices.
-func parseCountToken(tok string) (int, bool) {
-	i := 0
-	neg := false
-	if tok[0] == '+' || tok[0] == '-' {
-		neg = tok[0] == '-'
-		i++
-		if i == len(tok) {
-			return 0, false
-		}
-	}
-	var v uint64
-	for ; i < len(tok); i++ {
-		d := tok[i] - '0'
-		if d > 9 {
-			return 0, false
-		}
-		if v > math.MaxUint64/10 {
-			return 0, false
-		}
-		v = v*10 + uint64(d)
-		if v > math.MaxInt64 {
-			return 0, false
-		}
-	}
-	if neg && v > 0 {
-		return 0, false
-	}
-	if v > MaxVertices {
-		return 0, false
-	}
-	return int(v), true
-}
-
 // tokenizeASCII splits line into fields exactly as strings.Fields does
 // for all-ASCII input, storing the first 4 tokens and counting the
-// rest. ok=false reports a byte >= 0x80: the caller must reparse the
-// line through the reference path, the only one that reproduces
-// Unicode whitespace splitting.
+// rest. ok=false reports a byte >= 0x80: the caller must tokenize the
+// line with tokenizeFields, the only one that reproduces Unicode
+// whitespace splitting.
 //
-// A blank line returns nt=0; a comment line (first field starting
-// with '#', i.e. TrimSpace(line) has prefix "#") returns nt=-1.
-func tokenizeASCII(line string) (toks [4]string, nt int, ok bool) {
+// A blank line returns nt=0; a comment line (TrimSpace(line) starts
+// with the comment byte) returns nt=-1.
+func tokenizeASCII(line string, comment byte) (toks [4]string, nt int, ok bool) {
 	i := 0
 	for i < len(line) && asciiSpace[line[i]] {
 		i++
 	}
-	if i < len(line) && line[i] == '#' {
+	if i < len(line) && line[i] == comment {
 		return toks, -1, true
 	}
 	for i < len(line) {
@@ -245,6 +217,18 @@ func tokenizeASCII(line string) (toks [4]string, nt int, ok bool) {
 	return toks, nt, true
 }
 
+// tokenizeFields is tokenizeASCII for any line, by strings.Fields. The
+// first field starts with the comment byte exactly when the trimmed
+// line does, since Fields and TrimSpace share unicode.IsSpace.
+func tokenizeFields(line string, comment byte) (toks [4]string, nt int) {
+	fields := strings.Fields(line)
+	if len(fields) > 0 && fields[0][0] == comment {
+		return toks, -1
+	}
+	copy(toks[:], fields)
+	return toks, len(fields)
+}
+
 // lineKind classifies one parsed line for the shard merge.
 type lineKind int8
 
@@ -257,134 +241,130 @@ const (
 
 // lineVal is the outcome of parsing one line. mkErr builds the exact
 // reader error once the merge knows the global line number; it is
-// allocated only on the error path.
+// allocated only on the error path. counted marks an error line that
+// the reference reader counts as an entry before raising the error
+// (a MatrixMarket entry with a bad value), so an entry-count overflow
+// on that line wins.
 type lineVal struct {
-	kind  lineKind
-	u, v  int32
-	wt    float64
-	n     int
-	mkErr func(line int) error
+	kind    lineKind
+	counted bool
+	u, v    int32
+	wt      float64
+	n       int
+	mkErr   func(line int) error
 }
 
-// parseELLineSlow replicates readEdgeListScanner's loop body for one
-// raw (untrimmed, all-Unicode) line.
-func parseELLineSlow(raw string) lineVal {
-	line := strings.TrimSpace(raw)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return lineVal{kind: lineSkip}
-	}
-	fields := strings.Fields(line)
-	if fields[0] == "n" {
-		if len(fields) != 2 {
-			return headerFormErr()
-		}
-		n, err := parseVertexCount(fields[1], 0)
-		if err != nil {
-			return countErr(fields[1])
-		}
-		return lineVal{kind: lineHeader, n: n}
-	}
-	if len(fields) != 2 {
-		return arityErr("u v", line)
-	}
-	u, st := parseVertexToken(fields[0])
-	if st != vOK {
-		return vertexErr(fields[0], st)
-	}
-	v, st := parseVertexToken(fields[1])
-	if st != vOK {
-		return vertexErr(fields[1], st)
-	}
-	if u == v {
-		return selfLoopErr(u)
-	}
-	return lineVal{kind: lineEdge, u: u, v: v}
-}
-
-// parseWELLineSlow replicates readWELScanner's loop body for one raw
-// line.
-func parseWELLineSlow(raw string) lineVal {
-	line := strings.TrimSpace(raw)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return lineVal{kind: lineSkip}
-	}
-	fields := strings.Fields(line)
-	if fields[0] == "n" {
-		if len(fields) != 2 {
-			return headerFormErr()
-		}
-		n, err := parseVertexCount(fields[1], 0)
-		if err != nil {
-			return countErr(fields[1])
-		}
-		return lineVal{kind: lineHeader, n: n}
-	}
-	if len(fields) != 3 {
-		return arityErr("u v w", line)
-	}
-	u, st := parseVertexToken(fields[0])
-	if st != vOK {
-		return vertexErr(fields[0], st)
-	}
-	v, st := parseVertexToken(fields[1])
-	if st != vOK {
-		return vertexErr(fields[1], st)
-	}
-	if u == v {
-		return selfLoopErr(u)
-	}
-	wt, err := strconv.ParseFloat(fields[2], 64)
-	if err != nil || !(wt > 0) || wt > 1e308 {
-		return weightErr(fields[2])
-	}
-	return lineVal{kind: lineEdge, u: u, v: v, wt: wt}
-}
-
-func headerFormErr() lineVal {
+// errLine is a line error; the merge prepends the global line number.
+func errLine(format string, args ...any) lineVal {
 	return lineVal{kind: lineErr, mkErr: func(line int) error {
-		return fmt.Errorf("graphio: line %d: header must be 'n <count>'", line)
-	}}
-}
-
-func countErr(tok string) lineVal {
-	return lineVal{kind: lineErr, mkErr: func(line int) error {
-		return fmt.Errorf("graphio: line %d: bad vertex count %q (limit %d)", line, tok, MaxVertices)
-	}}
-}
-
-func arityErr(want, trimmed string) lineVal {
-	return lineVal{kind: lineErr, mkErr: func(line int) error {
-		return fmt.Errorf("graphio: line %d: want '%s', got %q", line, want, trimmed)
+		return fmt.Errorf("graphio: line %d: "+format, append([]any{line}, args...)...)
 	}}
 }
 
 func vertexErr(tok string, st int8) lineVal {
-	return lineVal{kind: lineErr, mkErr: func(line int) error {
-		if st == vRange {
-			return fmt.Errorf("graphio: line %d: vertex %s out of range", line, tok)
+	if st == vRange {
+		return errLine("vertex %s out of range", tok)
+	}
+	return errLine("bad vertex %q", tok)
+}
+
+// bodySpec is the entry-line grammar of one format: everything a shard
+// needs to parse its lines independently of the others.
+type bodySpec struct {
+	format   Format // FormatEdgeList, FormatWeightedEdgeList, FormatDIMACS or FormatMatrixMarket
+	weighted bool   // entries carry a weight column
+	comment  byte   // a line whose first field starts with it is skipped
+	base     int    // id of the first vertex: 0 or 1
+	bound    int    // ids at or past base+bound are out of range
+	nnz      int64  // MatrixMarket's declared entry count, -1 elsewhere
+}
+
+// parseLine parses one raw line (no '\n').
+func (sp *bodySpec) parseLine(line string) lineVal {
+	toks, nt, ascii := tokenizeASCII(line, sp.comment)
+	if !ascii {
+		toks, nt = tokenizeFields(line, sp.comment)
+	}
+	if nt <= 0 {
+		return lineVal{kind: lineSkip} // blank (0) or comment (-1)
+	}
+	switch sp.format {
+	case FormatDIMACS:
+		switch toks[0][0] {
+		case 'p':
+			return errLine("duplicate problem line")
+		case 'e': // any field starting with 'e', as in the reference
+			if nt != 3 {
+				return errLine("want 'e <u> <v>', got %q", strings.TrimSpace(line))
+			}
+			return sp.entry(toks[1], toks[2], "", "self-loop at %d")
 		}
-		return fmt.Errorf("graphio: line %d: bad vertex %q", line, tok)
-	}}
+		return errLine("unknown DIMACS line %q", strings.TrimSpace(line))
+	case FormatMatrixMarket:
+		want := 2
+		if sp.weighted {
+			want = 3
+		}
+		if nt != want {
+			return errLine("want %d fields, got %q", want, strings.TrimSpace(line))
+		}
+		return sp.entry(toks[0], toks[1], toks[2], "diagonal entry (self-loop) at %d")
+	}
+	if toks[0] == "n" {
+		if nt != 2 {
+			return errLine("header must be 'n <count>'")
+		}
+		n, ok := parseUintToken(toks[1])
+		if !ok || n > MaxVertices {
+			return errLine("bad vertex count %q (limit %d)", toks[1], MaxVertices)
+		}
+		return lineVal{kind: lineHeader, n: int(n)}
+	}
+	want, label := 2, "u v"
+	if sp.weighted {
+		want, label = 3, "u v w"
+	}
+	if nt != want {
+		return errLine("want '%s', got %q", label, strings.TrimSpace(line))
+	}
+	return sp.entry(toks[0], toks[1], toks[2], "self-loop at %d")
 }
 
-func selfLoopErr(u int32) lineVal {
-	return lineVal{kind: lineErr, mkErr: func(line int) error {
-		return fmt.Errorf("graphio: line %d: self-loop at %d", line, u)
-	}}
-}
-
-func weightErr(tok string) lineVal {
-	return lineVal{kind: lineErr, mkErr: func(line int) error {
-		return fmt.Errorf("graphio: line %d: edge weight %q must be a positive finite number", line, tok)
-	}}
+// entry parses the endpoints and, for a weighted format, the weight
+// token wt of one entry line. loop is the self-loop message, which
+// reports the id as written.
+func (sp *bodySpec) entry(ut, vt, wt, loop string) lineVal {
+	u, st := parseVertexToken(ut, sp.base, sp.bound)
+	if st != vOK {
+		return vertexErr(ut, st)
+	}
+	v, st := parseVertexToken(vt, sp.base, sp.bound)
+	if st != vOK {
+		return vertexErr(vt, st)
+	}
+	if u == v {
+		return errLine(loop, int(u)+sp.base)
+	}
+	lv := lineVal{kind: lineEdge, u: u, v: v}
+	if sp.weighted {
+		w, err := strconv.ParseFloat(wt, 64)
+		if err != nil || !(w > 0) || w > 1e308 {
+			bad := errLine("edge weight %q must be a positive finite number", wt)
+			bad.counted = true // the reference counts the entry first
+			return bad
+		}
+		lv.wt = w
+	}
+	return lv
 }
 
 // shardState is one worker's parse of its slice of a window.
 type shardState struct {
-	keys      []uint64   // EL: packed edges, in input order (reused)
-	edges     [][2]int32 // WEL: edges as read, in input order (reused)
-	weights   []float64  // WEL: parallel weights (reused)
+	keys      []uint64   // unweighted: packed edges, in input order (reused)
+	edges     [][2]int32 // weighted: edges as read, in input order (reused)
+	weights   []float64  // weighted: parallel weights (reused)
 	lines     int        // lines consumed, including the error line
+	entries   int64      // entry lines, including a counted error line
 	maxSeen   int32
 	headerN   int
 	headerSet bool
@@ -396,52 +376,37 @@ func (s *shardState) reset() {
 	s.edges = s.edges[:0]
 	s.weights = s.weights[:0]
 	s.lines = 0
+	s.entries = 0
 	s.maxSeen = -1
 	s.headerSet = false
 	s.errVal = lineVal{}
 }
 
 // parseShard parses the complete lines in data (the final line may
-// lack its '\n'), stopping at the first error. weighted selects the
-// WEL grammar. The hot path is the all-ASCII tokenizer; any line with
-// a high byte detours through the reference logic.
-func parseShard(data string, weighted bool, s *shardState) {
+// lack its '\n'), stopping at the first error. limit, when
+// non-negative, is the number of entries the shard may hold before the
+// next one is MatrixMarket's "more than the declared nnz entries".
+func parseShard(data string, sp *bodySpec, s *shardState, limit int64) {
 	s.reset()
-	pos := 0
-	for pos < len(data) {
+	for len(data) > 0 {
 		var line string
-		if nl := strings.IndexByte(data[pos:], '\n'); nl >= 0 {
-			line = data[pos : pos+nl]
-			pos += nl + 1
-		} else {
-			line = data[pos:]
-			pos = len(data)
-		}
+		line, data = cutLine(data)
 		s.lines++
-		toks, nt, ascii := tokenizeASCII(line)
-		var lv lineVal
-		if !ascii {
-			if weighted {
-				lv = parseWELLineSlow(line)
-			} else {
-				lv = parseELLineSlow(line)
+		lv := sp.parseLine(line)
+		if lv.kind == lineEdge || lv.counted {
+			if s.entries == limit {
+				s.errVal = errLine("more than the declared %d entries", sp.nnz)
+				return
 			}
-		} else {
-			lv = parseASCIILine(line, toks, nt, weighted)
+			s.entries++
 		}
 		switch lv.kind {
-		case lineSkip:
 		case lineHeader:
 			s.headerN = lv.n
 			s.headerSet = true
 		case lineEdge:
-			if lv.u > s.maxSeen {
-				s.maxSeen = lv.u
-			}
-			if lv.v > s.maxSeen {
-				s.maxSeen = lv.v
-			}
-			if weighted {
+			s.maxSeen = max(s.maxSeen, lv.u, lv.v)
+			if sp.weighted {
 				s.edges = append(s.edges, [2]int32{lv.u, lv.v})
 				s.weights = append(s.weights, lv.wt)
 			} else {
@@ -452,66 +417,6 @@ func parseShard(data string, weighted bool, s *shardState) {
 			return
 		}
 	}
-}
-
-// parseASCIILine classifies one tokenized all-ASCII line.
-func parseASCIILine(line string, toks [4]string, nt int, weighted bool) lineVal {
-	if nt <= 0 {
-		return lineVal{kind: lineSkip} // blank (0) or comment (-1)
-	}
-	if toks[0] == "n" {
-		if nt != 2 {
-			return headerFormErr()
-		}
-		n, ok := parseCountToken(toks[1])
-		if !ok {
-			return countErr(toks[1])
-		}
-		return lineVal{kind: lineHeader, n: n}
-	}
-	want := 2
-	if weighted {
-		want = 3
-	}
-	if nt != want {
-		label := "u v"
-		if weighted {
-			label = "u v w"
-		}
-		return arityErr(label, trimASCII(line))
-	}
-	u, st := parseVertexToken(toks[0])
-	if st != vOK {
-		return vertexErr(toks[0], st)
-	}
-	v, st := parseVertexToken(toks[1])
-	if st != vOK {
-		return vertexErr(toks[1], st)
-	}
-	if u == v {
-		return selfLoopErr(u)
-	}
-	lv := lineVal{kind: lineEdge, u: u, v: v}
-	if weighted {
-		wt, err := strconv.ParseFloat(toks[2], 64)
-		if err != nil || !(wt > 0) || wt > 1e308 {
-			return weightErr(toks[2])
-		}
-		lv.wt = wt
-	}
-	return lv
-}
-
-// trimASCII is strings.TrimSpace for all-ASCII input.
-func trimASCII(s string) string {
-	i, j := 0, len(s)
-	for i < j && asciiSpace[s[i]] {
-		i++
-	}
-	for j > i && asciiSpace[s[j-1]] {
-		j--
-	}
-	return s[i:j]
 }
 
 // lineCuts splits data into up to want shard boundaries aligned to
@@ -537,16 +442,21 @@ func lineCuts(data string, want int) []int {
 	return cuts
 }
 
-// fastReader drives the window/shard machinery shared by both native
-// formats.
+// fastReader drives the window/shard machinery shared by every
+// line-per-entry format.
 type fastReader struct {
-	workers  int
-	weighted bool
-	maxLine  int
+	spec    bodySpec
+	workers int
+	maxLine int
+	// prelude, until it reports done, takes each line (raw, without
+	// its '\n') before the shards see any: the header lines a format
+	// parses sequentially with the reference logic.
+	prelude func(raw string, lineNo int) (done bool, err error)
 
-	n        int // last header value, -1 when undeclared
+	n        int // last "n" header value, -1 when undeclared
 	maxSeen  int32
 	lineBase int
+	entries  int64
 
 	keys    []uint64
 	edges   [][2]int32
@@ -555,16 +465,18 @@ type fastReader struct {
 	shards []shardState
 }
 
+func newFastReader(spec bodySpec, workers, maxLine int) *fastReader {
+	return &fastReader{spec: spec, workers: workers, maxLine: maxLine, n: -1, maxSeen: -1}
+}
+
 // run consumes r entirely, returning the first error exactly as the
 // scanner-based reader would.
 func (fr *fastReader) run(r io.Reader) error {
 	w := &windower{r: r, maxLine: fr.maxLine}
 	for {
 		data, tooLong, final := w.next()
-		if len(data) > 0 {
-			if err := fr.window(string(data)); err != nil {
-				return err
-			}
+		if err := fr.window(string(data)); err != nil {
+			return err
 		}
 		if tooLong {
 			return fmt.Errorf("graphio: %w", bufio.ErrTooLong)
@@ -578,40 +490,61 @@ func (fr *fastReader) run(r io.Reader) error {
 	}
 }
 
-// window parses one window of complete lines, fanning out across
-// shards and merging in shard order.
+// window parses one window of complete lines: prelude lines first, one
+// at a time, then the rest fanned out across shards and merged in
+// shard order.
 func (fr *fastReader) window(data string) error {
+	for fr.prelude != nil && len(data) > 0 {
+		var line string
+		line, data = cutLine(data)
+		fr.lineBase++
+		done, err := fr.prelude(line, fr.lineBase)
+		if err != nil {
+			return err
+		}
+		if done {
+			fr.prelude = nil
+		}
+	}
+	if len(data) == 0 {
+		return nil
+	}
 	cuts := lineCuts(data, par.ShardCount(fr.workers, len(data)))
 	nShards := len(cuts) - 1
 	for len(fr.shards) < nShards {
 		fr.shards = append(fr.shards, shardState{})
 	}
 	if nShards == 1 {
-		parseShard(data, fr.weighted, &fr.shards[0])
+		parseShard(data, &fr.spec, &fr.shards[0], -1)
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(nShards)
 		for i := 0; i < nShards; i++ {
 			go func(i int) {
 				defer wg.Done()
-				parseShard(data[cuts[i]:cuts[i+1]], fr.weighted, &fr.shards[i])
+				parseShard(data[cuts[i]:cuts[i+1]], &fr.spec, &fr.shards[i], -1)
 			}(i)
 		}
 		wg.Wait()
 	}
 	for i := 0; i < nShards; i++ {
 		s := &fr.shards[i]
+		if fr.spec.nnz >= 0 && fr.entries+s.entries > fr.spec.nnz {
+			// The overflowing entry lies in this shard, at or before any
+			// error it stopped on: parse it again on the exact budget
+			// left to find that entry's line.
+			parseShard(data[cuts[i]:cuts[i+1]], &fr.spec, s, fr.spec.nnz-fr.entries)
+		}
 		if s.errVal.kind == lineErr {
 			return s.errVal.mkErr(fr.lineBase + s.lines)
 		}
 		fr.lineBase += s.lines
+		fr.entries += s.entries
 		if s.headerSet {
 			fr.n = s.headerN
 		}
-		if s.maxSeen > fr.maxSeen {
-			fr.maxSeen = s.maxSeen
-		}
-		if fr.weighted {
+		fr.maxSeen = max(fr.maxSeen, s.maxSeen)
+		if fr.spec.weighted {
 			fr.edges = append(fr.edges, s.edges...)
 			fr.weights = append(fr.weights, s.weights...)
 		} else {
@@ -621,8 +554,8 @@ func (fr *fastReader) window(data string) error {
 	return nil
 }
 
-// finishN resolves the final vertex count and the out-of-range check,
-// shared verbatim with the scanner readers.
+// finishN resolves the final vertex count and the out-of-range check
+// of the native formats, shared verbatim with the scanner readers.
 func (fr *fastReader) finishN() (int, error) {
 	n := fr.n
 	if n < 0 {
@@ -634,24 +567,26 @@ func (fr *fastReader) finishN() (int, error) {
 	return n, nil
 }
 
-// readEdgeListFast is the chunk-parallel edge-list reader behind
-// ReadEdgeList.
-func readEdgeListFast(r io.Reader, workers int) (*graph.Graph, error) {
-	fr := &fastReader{workers: workers, maxLine: elMaxLine, n: -1, maxSeen: -1}
-	if err := fr.run(r); err != nil {
-		return nil, err
+// assemble builds the parsed instance on n vertices.
+func (fr *fastReader) assemble(n int) (*Data, error) {
+	if fr.spec.weighted {
+		return assembleWeighted(n, fr.edges, fr.weights)
 	}
-	n, err := fr.finishN()
+	g, err := graph.FromPackedEdges(n, fr.keys)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graphio: %w", err)
 	}
-	return graph.FromPackedEdges(n, fr.keys)
+	return Unweighted(g), nil
 }
 
-// readWELFast is the chunk-parallel weighted-edge-list reader behind
-// Read(FormatWeightedEdgeList).
-func readWELFast(r io.Reader, workers int) (*Data, error) {
-	fr := &fastReader{workers: workers, weighted: true, maxLine: maxLine, n: -1, maxSeen: -1}
+// readNativeFast is the chunk-parallel reader of the edge list and, when
+// weighted, the weighted edge list.
+func readNativeFast(r io.Reader, weighted bool, workers int) (*Data, error) {
+	f, lineCap := FormatEdgeList, elMaxLine
+	if weighted {
+		f, lineCap = FormatWeightedEdgeList, maxLine
+	}
+	fr := newFastReader(bodySpec{format: f, weighted: weighted, comment: '#', bound: MaxVertices, nnz: -1}, workers, lineCap)
 	if err := fr.run(r); err != nil {
 		return nil, err
 	}
@@ -659,5 +594,67 @@ func readWELFast(r io.Reader, workers int) (*Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assembleWeighted(n, fr.edges, fr.weights)
+	return fr.assemble(n)
+}
+
+// readDIMACSFast is the chunk-parallel DIMACS reader behind
+// Read(FormatDIMACS). Lines up to the problem line are the prelude.
+func readDIMACSFast(r io.Reader, workers int) (*Data, error) {
+	fr := newFastReader(bodySpec{format: FormatDIMACS, comment: 'c', base: 1, nnz: -1}, workers, maxLine)
+	declared := int64(-1)
+	fr.prelude = func(raw string, lineNo int) (bool, error) {
+		line := strings.TrimSpace(raw)
+		if line == "" || line[0] == 'c' {
+			return false, nil
+		}
+		if line[0] != 'p' {
+			return false, dimacsLineErr(line, lineNo)
+		}
+		n, m, err := parseDIMACSProblem(line, lineNo)
+		fr.spec.bound, declared = n, m
+		return true, err
+	}
+	if err := fr.run(r); err != nil {
+		return nil, err
+	}
+	if declared < 0 {
+		return nil, fmt.Errorf("graphio: missing DIMACS problem line")
+	}
+	if fr.entries != declared {
+		return nil, fmt.Errorf("graphio: %d edge lines but problem line declared %d", fr.entries, declared)
+	}
+	return fr.assemble(fr.spec.bound)
+}
+
+// readMatrixMarketFast is the chunk-parallel MatrixMarket reader behind
+// Read(FormatMatrixMarket). The banner and the size line are the
+// prelude.
+func readMatrixMarketFast(r io.Reader, workers int) (*Data, error) {
+	fr := newFastReader(bodySpec{format: FormatMatrixMarket, comment: '%', base: 1, nnz: -1}, workers, maxLine)
+	fr.prelude = func(raw string, lineNo int) (bool, error) {
+		if lineNo == 1 {
+			weighted, err := parseMMBanner(dropCR(raw))
+			fr.spec.weighted = weighted
+			return false, err
+		}
+		line := strings.TrimSpace(raw)
+		if line == "" || line[0] == '%' {
+			return false, nil
+		}
+		n, nnz, err := parseMMSize(line, lineNo)
+		fr.spec.bound, fr.spec.nnz = n, nnz
+		return true, err
+	}
+	if err := fr.run(r); err != nil {
+		return nil, err
+	}
+	switch {
+	case fr.lineBase == 0:
+		return nil, fmt.Errorf("graphio: missing MatrixMarket banner")
+	case fr.prelude != nil:
+		return nil, fmt.Errorf("graphio: missing MatrixMarket size line")
+	case fr.entries != fr.spec.nnz:
+		return nil, fmt.Errorf("graphio: %d entries but size line declared %d", fr.entries, fr.spec.nnz)
+	}
+	return fr.assemble(fr.spec.bound)
 }

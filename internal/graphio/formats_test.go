@@ -3,9 +3,12 @@ package graphio
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -83,6 +86,130 @@ func TestRoundTripEveryFormat(t *testing.T) {
 					t.Fatalf("round trip changed the instance:\n%s", buf.String())
 				}
 			})
+		}
+	}
+}
+
+// fmtRender renders d in format f the way the writers did before they
+// appended into one reused buffer: one fmt.Fprintf per line or token.
+// It is the oracle TestWritersMatchFmt holds the writers to.
+func fmtRender(d *Data, f Format) string {
+	var sb strings.Builder
+	g := d.G
+	weight := func(u, v int32) string { return strconv.FormatFloat(d.WG.EdgeWeight(u, v), 'g', -1, 64) }
+	switch f {
+	case FormatEdgeList, FormatWeightedEdgeList:
+		fmt.Fprintf(&sb, "n %d\n", g.NumVertices())
+		g.ForEachEdge(func(u, v int32) {
+			if f == FormatWeightedEdgeList {
+				fmt.Fprintf(&sb, "%d %d %s\n", u, v, weight(u, v))
+			} else {
+				fmt.Fprintf(&sb, "%d %d\n", u, v)
+			}
+		})
+	case FormatDIMACS:
+		fmt.Fprintf(&sb, "p edge %d %d\n", g.NumVertices(), g.NumEdges())
+		g.ForEachEdge(func(u, v int32) { fmt.Fprintf(&sb, "e %d %d\n", u+1, v+1) })
+	case FormatMatrixMarket:
+		field := "pattern"
+		if d.WG != nil {
+			field = "real"
+		}
+		fmt.Fprintf(&sb, "%%%%MatrixMarket matrix coordinate %s symmetric\n", field)
+		fmt.Fprintf(&sb, "%d %d %d\n", g.NumVertices(), g.NumVertices(), g.NumEdges())
+		g.ForEachEdge(func(u, v int32) {
+			if d.WG != nil {
+				fmt.Fprintf(&sb, "%d %d %s\n", v+1, u+1, weight(u, v))
+			} else {
+				fmt.Fprintf(&sb, "%d %d\n", v+1, u+1)
+			}
+		})
+	case FormatMETIS:
+		format := ""
+		if d.WG != nil {
+			format = " 001"
+		}
+		fmt.Fprintf(&sb, "%d %d%s\n", g.NumVertices(), g.NumEdges(), format)
+		for v := int32(0); int(v) < g.NumVertices(); v++ {
+			for i, u := range g.Neighbors(v) {
+				if i > 0 {
+					sb.WriteByte(' ')
+				}
+				sb.WriteString(strconv.Itoa(int(u) + 1))
+				if d.WG != nil {
+					fmt.Fprintf(&sb, " %s", weight(v, u))
+				}
+			}
+			sb.WriteByte('\n')
+		}
+	}
+	return sb.String()
+}
+
+// writerCorpus is corpus plus two instances whose renderings span
+// several of the writers' 64 KiB flushes.
+func writerCorpus(t *testing.T) map[string]*Data {
+	t.Helper()
+	src := rng.New(11)
+	c := corpus(t)
+	c["big"] = Unweighted(graph.GNP(3000, 0.005, src))
+	c["big-weighted"] = FromWeighted(graph.RandomWeights(graph.GNP(3000, 0.005, src), 0.5, 4.5, src))
+	return c
+}
+
+// TestWritersMatchFmt: every writer renders the same bytes as the fmt
+// rendering, on every instance its format can carry.
+func TestWritersMatchFmt(t *testing.T) {
+	for name, d := range writerCorpus(t) {
+		for _, f := range Formats() {
+			if (d.WG != nil && !f.Weighted()) || (d.WG == nil && !f.Unweighted()) {
+				continue
+			}
+			t.Run(name+"/"+f.String(), func(t *testing.T) {
+				var buf bytes.Buffer
+				if err := Write(&buf, d, f); err != nil {
+					t.Fatal(err)
+				}
+				if want := fmtRender(d, f); buf.String() != want {
+					t.Fatalf("%d bytes written, fmt renders %d; first lines:\n%.200s\nwant:\n%.200s",
+						buf.Len(), len(want), buf.String(), want)
+				}
+			})
+		}
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errWriteFailed
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestWritersReportWriteErrors: a failing destination's error comes
+// back from every writer, whether it fails on the first chunk or later.
+func TestWritersReportWriteErrors(t *testing.T) {
+	for name, d := range writerCorpus(t) {
+		if !strings.HasPrefix(name, "big") {
+			continue
+		}
+		for _, f := range Formats() {
+			if (d.WG != nil && !f.Weighted()) || (d.WG == nil && !f.Unweighted()) {
+				continue
+			}
+			for _, after := range []int{0, 100000} {
+				if err := Write(&failAfter{n: after}, d, f); !errors.Is(err, errWriteFailed) {
+					t.Errorf("%s/%v, failing after %d bytes: got %v", name, f, after, err)
+				}
+			}
 		}
 	}
 }

@@ -37,9 +37,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		// The fast reader must match the scanner reference bit for bit
 		// on arbitrary bytes — same graph or same error string.
-		for _, workers := range []int{1, 4} {
-			readBoth(t, string(data), false, workers)
-		}
+		readBoth(t, string(data), FormatEdgeList, 1, 4)
 		g, err := ReadEdgeList(bytes.NewReader(data))
 		if err != nil {
 			return // rejected inputs just need to not panic
@@ -106,6 +104,16 @@ func fuzzFormat(t *testing.T, data []byte, format Format) {
 	}
 }
 
+// fuzzParity demands that the fast reader of format match its scanner
+// reference bit for bit on arbitrary bytes — same graph or same error
+// string — sequentially and across shards.
+func fuzzParity(t *testing.T, data []byte, format Format) {
+	t.Helper()
+	if !declaresHugeGraph(data) {
+		readBoth(t, string(data), format, 1, 4)
+	}
+}
+
 // FuzzReadWEL exercises the weighted-edge-list reader, mirroring
 // FuzzReadEdgeList, so every structured graphio reader is fuzzed. Run
 // with `go test -fuzz=FuzzReadWEL`.
@@ -136,11 +144,7 @@ func FuzzReadWEL(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !declaresHugeGraph(data) {
-			for _, workers := range []int{1, 4} {
-				readBoth(t, string(data), true, workers)
-			}
-		}
+		fuzzParity(t, data, FormatWeightedEdgeList)
 		fuzzFormat(t, data, FormatWeightedEdgeList)
 	})
 }
@@ -163,11 +167,17 @@ func FuzzReadDIMACS(f *testing.F) {
 		"p edge x y\n",
 		"x 1 2\n",
 		"c only a comment\n",
+		"p edge 3 1\ne 1\u00a02\n",
+		"p edge 3 2\ne 1 2\np edge 3 2\ne 2 3\n",
+		"c\r\np edge 3 1\r\nedge 1 3\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzFormat(t, data, FormatDIMACS) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzParity(t, data, FormatDIMACS)
+		fuzzFormat(t, data, FormatDIMACS)
+	})
 }
 
 // FuzzReadMETIS exercises the METIS adjacency reader, mirroring
@@ -213,9 +223,14 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		"%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n",
 		"% not a banner\n2 2 1\n2 1\n",
 		"%%MatrixMarket matrix coordinate pattern symmetric\n% comment\n\n3 3 1\n3 1\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n4 4 1\n2 1 1\n3 2 -1\n",
+		"%%MatrixMarket matrix coordinate pattern general\r\n3 3 2\r\n2\u00a01\n1 3\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzFormat(t, data, FormatMatrixMarket) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzParity(t, data, FormatMatrixMarket)
+		fuzzFormat(t, data, FormatMatrixMarket)
+	})
 }

@@ -20,7 +20,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"mpcgraph/internal/graph"
@@ -30,7 +29,11 @@ import (
 // chunk-parallel fast path (see fastread.go); readEdgeListScanner is
 // the line-by-line reference implementation it is pinned against.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
-	return readEdgeListFast(r, 0)
+	d, err := readNativeFast(r, false, 0)
+	if err != nil {
+		return nil, err
+	}
+	return d.G, nil
 }
 
 // readEdgeListScanner is the bufio.Scanner-based reference reader. The
@@ -97,38 +100,15 @@ func readEdgeListScanner(r io.Reader) (*graph.Graph, error) {
 	return graph.FromEdges(n, edges)
 }
 
-// writeFlush is the fast writers' flush threshold: integer rendering
-// appends into one reused buffer that is written out in large chunks,
-// replacing a fmt.Fprintf (reflection + interface allocs) per edge.
-const writeFlush = 1 << 16
-
 // WriteEdgeList writes g in the edge-list format with a header line.
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
-	buf := make([]byte, 0, writeFlush+64)
-	buf = append(buf, 'n', ' ')
-	buf = strconv.AppendInt(buf, int64(g.NumVertices()), 10)
-	buf = append(buf, '\n')
-	var writeErr error
+	lw := newLineWriter(w)
+	lw.buf = append(lw.buf, "n "...)
+	lw.ints(int64(g.NumVertices()))
+	lw.endLine()
 	g.ForEachEdge(func(u, v int32) {
-		if writeErr != nil {
-			return
-		}
-		buf = strconv.AppendInt(buf, int64(u), 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(v), 10)
-		buf = append(buf, '\n')
-		if len(buf) >= writeFlush {
-			_, writeErr = w.Write(buf)
-			buf = buf[:0]
-		}
+		lw.ints(int64(u), int64(v))
+		lw.endLine()
 	})
-	if writeErr != nil {
-		return writeErr
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return lw.flush()
 }

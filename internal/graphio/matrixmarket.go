@@ -1,7 +1,6 @@
 package graphio
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -26,6 +25,13 @@ import (
 // See docs/formats.md.
 
 func readMatrixMarket(r io.Reader) (*Data, error) {
+	return readMatrixMarketFast(r, 0)
+}
+
+// readMatrixMarketScanner is the bufio.Scanner-based reference reader;
+// the fast path in fastread.go is pinned against it by the parity and
+// fuzz suites.
+func readMatrixMarketScanner(r io.Reader) (*Data, error) {
 	sc := newScanner(r)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
@@ -34,58 +40,34 @@ func readMatrixMarket(r io.Reader) (*Data, error) {
 		return nil, fmt.Errorf("graphio: missing MatrixMarket banner")
 	}
 	lineNo := 1
-	banner := strings.Fields(strings.ToLower(sc.Text()))
-	if len(banner) != 5 || banner[0] != "%%matrixmarket" || banner[1] != "matrix" || banner[2] != "coordinate" {
-		return nil, fmt.Errorf("graphio: line 1: want '%%%%MatrixMarket matrix coordinate <field> <symmetry>', got %q", sc.Text())
-	}
-	var weighted bool
-	switch banner[3] {
-	case "pattern":
-	case "real", "integer":
-		weighted = true
-	default:
-		return nil, fmt.Errorf("graphio: line 1: unsupported MatrixMarket field %q (want pattern, real or integer)", banner[3])
-	}
-	switch banner[4] {
-	case "symmetric", "general":
-	default:
-		return nil, fmt.Errorf("graphio: line 1: unsupported MatrixMarket symmetry %q (want symmetric or general)", banner[4])
+	weighted, err := parseMMBanner(sc.Text())
+	if err != nil {
+		return nil, err
 	}
 
 	// Size line: first non-comment, non-blank line after the banner.
-	var size []string
+	sized := false
+	var (
+		n   int
+		nnz int64
+	)
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
-		size = strings.Fields(line)
+		if n, nnz, err = parseMMSize(line, lineNo); err != nil {
+			return nil, err
+		}
+		sized = true
 		break
 	}
-	if size == nil {
+	if !sized {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("graphio: %w", err)
 		}
 		return nil, fmt.Errorf("graphio: missing MatrixMarket size line")
-	}
-	if len(size) != 3 {
-		return nil, fmt.Errorf("graphio: line %d: want '<rows> <cols> <nnz>', got %q", lineNo, strings.Join(size, " "))
-	}
-	n, err := parseVertexCount(size[0], lineNo)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := strconv.ParseInt(size[1], 10, 64)
-	if err != nil || cols < 0 {
-		return nil, fmt.Errorf("graphio: line %d: bad column count %q", lineNo, size[1])
-	}
-	if int64(n) != cols {
-		return nil, fmt.Errorf("graphio: line %d: adjacency matrix must be square, got %dx%d", lineNo, n, cols)
-	}
-	nnz, err := strconv.ParseInt(size[2], 10, 64)
-	if err != nil || nnz < 0 {
-		return nil, fmt.Errorf("graphio: line %d: bad entry count %q", lineNo, size[2])
 	}
 
 	var (
@@ -153,35 +135,83 @@ func readMatrixMarket(r io.Reader) (*Data, error) {
 	return Unweighted(g), nil
 }
 
+// parseMMBanner checks the banner, line 1 as the scanner returns it,
+// and reports whether the entries carry values.
+func parseMMBanner(text string) (weighted bool, err error) {
+	banner := strings.Fields(strings.ToLower(text))
+	if len(banner) != 5 || banner[0] != "%%matrixmarket" || banner[1] != "matrix" || banner[2] != "coordinate" {
+		return false, fmt.Errorf("graphio: line 1: want '%%%%MatrixMarket matrix coordinate <field> <symmetry>', got %q", text)
+	}
+	switch banner[3] {
+	case "pattern":
+	case "real", "integer":
+		weighted = true
+	default:
+		return false, fmt.Errorf("graphio: line 1: unsupported MatrixMarket field %q (want pattern, real or integer)", banner[3])
+	}
+	switch banner[4] {
+	case "symmetric", "general":
+	default:
+		return false, fmt.Errorf("graphio: line 1: unsupported MatrixMarket symmetry %q (want symmetric or general)", banner[4])
+	}
+	return weighted, nil
+}
+
+// parseMMSize parses the trimmed size line "<rows> <cols> <nnz>" of a
+// square matrix.
+func parseMMSize(line string, lineNo int) (n int, nnz int64, err error) {
+	size := strings.Fields(line)
+	if len(size) != 3 {
+		return 0, 0, fmt.Errorf("graphio: line %d: want '<rows> <cols> <nnz>', got %q", lineNo, strings.Join(size, " "))
+	}
+	if n, err = parseVertexCount(size[0], lineNo); err != nil {
+		return 0, 0, err
+	}
+	cols, err := strconv.ParseInt(size[1], 10, 64)
+	if err != nil || cols < 0 {
+		return 0, 0, fmt.Errorf("graphio: line %d: bad column count %q", lineNo, size[1])
+	}
+	if int64(n) != cols {
+		return 0, 0, fmt.Errorf("graphio: line %d: adjacency matrix must be square, got %dx%d", lineNo, n, cols)
+	}
+	nnz, err = strconv.ParseInt(size[2], 10, 64)
+	if err != nil || nnz < 0 {
+		return 0, 0, fmt.Errorf("graphio: line %d: bad entry count %q", lineNo, size[2])
+	}
+	return n, nnz, nil
+}
+
+// dropCR drops one '\r' before the line end, as bufio.ScanLines does.
+func dropCR(line string) string {
+	return strings.TrimSuffix(line, "\r")
+}
+
 // writeMatrixMarket writes the lower triangle of the symmetric adjacency
 // matrix: pattern for plain graphs, real for weighted ones.
 func writeMatrixMarket(w io.Writer, d *Data) error {
 	g := d.G
-	bw := bufio.NewWriter(w)
-	field := "pattern"
+	lw := newLineWriter(w)
+	lw.buf = append(lw.buf, "%%MatrixMarket matrix coordinate "...)
 	if d.WG != nil {
-		field = "real"
+		lw.buf = append(lw.buf, "real symmetric"...)
+	} else {
+		lw.buf = append(lw.buf, "pattern symmetric"...)
 	}
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate %s symmetric\n", field); err != nil {
-		return err
+	lw.endLine()
+	lw.ints(int64(g.NumVertices()), int64(g.NumVertices()), int64(g.NumEdges()))
+	lw.endLine()
+	// Lower triangle: row > column, so the larger endpoint leads.
+	if d.WG != nil {
+		forEachWeightedEdge(d.WG, func(u, v int32, wt float64) {
+			lw.ints(int64(v)+1, int64(u)+1)
+			lw.weight(wt)
+			lw.endLine()
+		})
+	} else {
+		g.ForEachEdge(func(u, v int32) {
+			lw.ints(int64(v)+1, int64(u)+1)
+			lw.endLine()
+		})
 	}
-	if _, err := fmt.Fprintf(bw, "%d %d %d\n", g.NumVertices(), g.NumVertices(), g.NumEdges()); err != nil {
-		return err
-	}
-	var writeErr error
-	g.ForEachEdge(func(u, v int32) {
-		if writeErr != nil {
-			return
-		}
-		// Lower triangle: row > column, so the larger endpoint leads.
-		if d.WG != nil {
-			_, writeErr = fmt.Fprintf(bw, "%d %d %s\n", v+1, u+1, formatWeight(d.WG.EdgeWeight(u, v)))
-		} else {
-			_, writeErr = fmt.Fprintf(bw, "%d %d\n", v+1, u+1)
-		}
-	})
-	if writeErr != nil {
-		return writeErr
-	}
-	return bw.Flush()
+	return lw.flush()
 }

@@ -1,7 +1,6 @@
 package graphio
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -154,33 +153,24 @@ func readMETIS(r io.Reader) (*Data, error) {
 
 func writeMETIS(w io.Writer, d *Data) error {
 	g := d.G
-	bw := bufio.NewWriter(w)
-	format := ""
+	lw := newLineWriter(w)
+	lw.ints(int64(g.NumVertices()), int64(g.NumEdges()))
 	if d.WG != nil {
-		format = " 001"
+		lw.buf = append(lw.buf, " 001"...)
 	}
-	if _, err := fmt.Fprintf(bw, "%d %d%s\n", g.NumVertices(), g.NumEdges(), format); err != nil {
-		return err
-	}
+	lw.endLine()
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
 		for i, u := range g.Neighbors(v) {
 			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
+				lw.buf = append(lw.buf, ' ')
 			}
-			if _, err := bw.WriteString(strconv.Itoa(int(u) + 1)); err != nil {
-				return err
-			}
+			lw.ints(int64(u) + 1)
 			if d.WG != nil {
-				if _, err := fmt.Fprintf(bw, " %s", formatWeight(d.WG.EdgeWeight(v, u))); err != nil {
-					return err
-				}
+				lw.weight(d.WG.EdgeWeight(v, u))
 			}
+			lw.spill()
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		lw.endLine()
 	}
-	return bw.Flush()
+	return lw.flush()
 }

@@ -2,12 +2,16 @@ package graphio
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
+	"mpcgraph/internal/graph"
+	"mpcgraph/internal/rng"
 	"mpcgraph/internal/scenario"
 )
 
@@ -38,46 +42,68 @@ func renderGraphEL(t *testing.T, d *Data) string {
 	return buf.String()
 }
 
-// readBoth parses input through the reference scanner reader and the
-// fast reader at the given worker count, demanding identical outcomes.
-// It returns the scanner outcome.
-func readBoth(t *testing.T, input string, weighted bool, workers int) (*Data, error) {
+// readReference parses r with the scanner-based reference reader of f.
+func readReference(r io.Reader, f Format) (*Data, error) {
+	switch f {
+	case FormatEdgeList:
+		g, err := readEdgeListScanner(r)
+		if err != nil {
+			return nil, err
+		}
+		return Unweighted(g), nil
+	case FormatWeightedEdgeList:
+		return readWELScanner(r)
+	case FormatDIMACS:
+		return readDIMACSScanner(r)
+	case FormatMatrixMarket:
+		return readMatrixMarketScanner(r)
+	}
+	panic(fmt.Sprintf("no reference reader for %v", f))
+}
+
+// readFast parses r with the chunk-parallel reader of f.
+func readFast(r io.Reader, f Format, workers int) (*Data, error) {
+	switch f {
+	case FormatEdgeList:
+		return readNativeFast(r, false, workers)
+	case FormatWeightedEdgeList:
+		return readNativeFast(r, true, workers)
+	case FormatDIMACS:
+		return readDIMACSFast(r, workers)
+	case FormatMatrixMarket:
+		return readMatrixMarketFast(r, workers)
+	}
+	panic(fmt.Sprintf("no fast reader for %v", f))
+}
+
+// readBothFrom parses the stream open returns through the reference
+// scanner reader of f and through the fast reader at each worker
+// count, demanding identical outcomes. It returns the scanner outcome.
+func readBothFrom(t *testing.T, open func() io.Reader, f Format, workers ...int) (*Data, error) {
 	t.Helper()
-	var refD *Data
-	var refErr error
-	if weighted {
-		refD, refErr = readWELScanner(strings.NewReader(input))
-	} else {
-		g, err := readEdgeListScanner(strings.NewReader(input))
-		refErr = err
-		if err == nil {
-			refD = Unweighted(g)
-		}
-	}
-	var fastD *Data
-	var fastErr error
-	if weighted {
-		fastD, fastErr = readWELFast(strings.NewReader(input), workers)
-	} else {
-		g, err := readEdgeListFast(strings.NewReader(input), workers)
-		fastErr = err
-		if err == nil {
-			fastD = Unweighted(g)
-		}
-	}
-	switch {
-	case (refErr == nil) != (fastErr == nil):
-		t.Fatalf("workers=%d: scanner err %v, fast err %v", workers, refErr, fastErr)
-	case refErr != nil:
-		if refErr.Error() != fastErr.Error() {
-			t.Fatalf("workers=%d: error mismatch:\nscanner: %s\nfast:    %s", workers, refErr, fastErr)
-		}
-	default:
-		if want, got := renderGraphEL(t, refD), renderGraphEL(t, fastD); want != got {
-			t.Fatalf("workers=%d: graph mismatch:\nscanner:\n%s\nfast:\n%s", workers, want, got)
+	refD, refErr := readReference(open(), f)
+	for _, w := range workers {
+		fastD, fastErr := readFast(open(), f, w)
+		switch {
+		case (refErr == nil) != (fastErr == nil):
+			t.Fatalf("%v, workers=%d: scanner err %v, fast err %v", f, w, refErr, fastErr)
+		case refErr != nil:
+			if refErr.Error() != fastErr.Error() {
+				t.Fatalf("%v, workers=%d: error mismatch:\nscanner: %s\nfast:    %s", f, w, refErr, fastErr)
+			}
+		default:
+			if want, got := renderGraphEL(t, refD), renderGraphEL(t, fastD); want != got {
+				t.Fatalf("%v, workers=%d: graph mismatch:\nscanner:\n%s\nfast:\n%s", f, w, want, got)
+			}
 		}
 	}
 	return refD, refErr
+}
+
+// readBoth is readBothFrom on an in-memory input.
+func readBoth(t *testing.T, input string, f Format, workers ...int) (*Data, error) {
+	t.Helper()
+	return readBothFrom(t, func() io.Reader { return strings.NewReader(input) }, f, workers...)
 }
 
 // parityInputs is the adversarial corpus. Every ParseInt/ParseFloat
@@ -128,23 +154,144 @@ func parityInputs() map[string]string {
 	}
 }
 
-// welOnlyInputs exercises the weight column.
+// welOnlyInputs exercises the weight column and the conflict report,
+// which names the first conflicting mention in input order.
 func welOnlyInputs() map[string]string {
 	return map[string]string{
-		"weights-plain":      "n 4\n0 1 1.5\n2 3 0.25\n",
-		"weight-zero":        "0 1 0\n",
-		"weight-negative":    "0 1 -2\n",
-		"weight-nan":         "0 1 nan\n",
-		"weight-inf":         "0 1 +Inf\n",
-		"weight-1e309":       "0 1 1e309\n",
-		"weight-hex-float":   "0 1 0x1p-2\n",
-		"weight-underscore":  "0 1 1_0\n",
-		"weight-junk":        "0 1 abc\n",
-		"weight-missing":     "0 1\n",
-		"weight-exact":       "0 1 0.1\n2 3 3.0000000000000004\n",
-		"weight-conflict":    "0 1 2\n1 0 3\n",
-		"weight-dup-agree":   "0 1 2\n1 0 2\n0 1 2\n",
-		"weight-error-order": "x 1 1\n",
+		"weights-plain":                     "n 4\n0 1 1.5\n2 3 0.25\n",
+		"weight-zero":                       "0 1 0\n",
+		"weight-negative":                   "0 1 -2\n",
+		"weight-nan":                        "0 1 nan\n",
+		"weight-inf":                        "0 1 +Inf\n",
+		"weight-1e309":                      "0 1 1e309\n",
+		"weight-hex-float":                  "0 1 0x1p-2\n",
+		"weight-underscore":                 "0 1 1_0\n",
+		"weight-junk":                       "0 1 abc\n",
+		"weight-missing":                    "0 1\n",
+		"weight-exact":                      "0 1 0.1\n2 3 3.0000000000000004\n",
+		"weight-conflict":                   "0 1 2\n1 0 3\n",
+		"weight-dup-agree":                  "0 1 2\n1 0 2\n0 1 2\n",
+		"weight-error-order":                "x 1 1\n",
+		"weight-conflict-first":             "0 1 2\n1 0 3\n2 3 1\n3 2 1\n",
+		"weight-conflict-last":              "0 1 2\n2 3 1\n3 2 1\n1 0 3\n",
+		"weight-conflict-between-agreeing":  "0 1 2\n1 0 2\n0 1 5\n1 0 2\n",
+		"weight-conflict-input-before-edge": "2 3 1\n0 1 1\n3 2 7\n1 0 9\n",
+	}
+}
+
+// dimacsInputs is the DIMACS corpus: the prelude, the 'c'/'p'/'e'
+// dispatch on the first byte of the trimmed line, 1-based ids checked
+// against the declared n, and the edge-line count.
+func dimacsInputs() map[string]string {
+	return map[string]string{
+		"empty":                   "",
+		"blank-lines":             "\n \t \n\n",
+		"comment-only":            "c just a comment\n",
+		"plain":                   "c hi\np edge 4 2\ne 1 2\ne 3 4\n",
+		"p-col":                   "p col 3 1\ne 1 3\n",
+		"crlf":                    "p edge 2 1\r\ne 1 2\r\n",
+		"no-trailing-newline":     "p edge 4 2\ne 1 2\ne 3 4",
+		"indented":                "  c x\n\tp edge 3 1\n  e 1 2  \n",
+		"comment-any-c-word":      "p edge 3 1\ncat dog\ne 1 2\n",
+		"e-prefixed-field":        "p edge 3 1\nedge 1 2\n",
+		"e-glued":                 "p edge 3 1\ne1 2 3\n",
+		"dup-edges":               "p edge 3 3\ne 1 2\ne 2 1\ne 1 2\n",
+		"count-short":             "p edge 3 2\ne 1 2\n",
+		"count-long":              "p edge 3 1\ne 1 2\ne 2 3\n",
+		"count-over-then-junk":    "p edge 4 1\ne 1 2\ne 2 3\nx 3 4\n",
+		"no-problem":              "c only\n\n",
+		"edge-before-problem":     "c x\ne 1 2\np edge 2 1\n",
+		"junk-before-problem":     "x\np edge 2 1\n",
+		"double-problem":          "p edge 2 1\np edge 2 1\ne 1 2\n",
+		"problem-after-edge":      "p edge 3 2\ne 1 2\np edge 3 2\ne 2 3\n",
+		"bad-problem-name":        "p sp 3 1\n",
+		"bad-problem-arity":       "p edge 3\n",
+		"bad-n":                   "p edge x 1\n",
+		"n-over-cap":              "p edge 134217729 0\n",
+		"bad-m":                   "p edge 3 -1\n",
+		"zero-n-edge":             "p edge 0 1\ne 1 2\n",
+		"zero-vertex":             "p edge 3 1\ne 0 1\n",
+		"minus-zero-vertex":       "p edge 3 1\ne -0 1\n",
+		"plus-vertex":             "p edge 3 1\ne +1 2\n",
+		"negative-vertex":         "p edge 3 1\ne -2 1\n",
+		"out-of-range":            "p edge 3 1\ne 1 4\n",
+		"int64-overflow":          "p edge 3 1\ne 9223372036854775808 1\n",
+		"self-loop":               "p edge 3 1\ne 2 2\n",
+		"arity-short":             "p edge 3 1\ne 1\n",
+		"arity-long":              "p edge 3 1\ne 1 2 3\n",
+		"unknown-line":            "p edge 2 1\nx 1 2\ne 1 2\n",
+		"nbsp-separator":          "p edge 3 1\ne 1 2\n",
+		"nbsp-arity":              "p edge 3 1\ne 1 2 3\n",
+		"nbsp-before-comment":     " c comment\np edge 2 0\n",
+		"nbsp-before-problem":     " p edge 2 1\ne 1 2\n",
+		"nbsp-before-edge":        "p edge 2 1\n e 1 2\n",
+		"unicode-line-sep":        "p edge 3 1\ne 1 2\n",
+		"high-byte-token":         "p edge 3 1\ne 1 \xff\n",
+		"high-byte-first":         "p edge 3 1\n\xffe 1 2\n",
+		"high-byte-after-comment": "p edge 3 0\nc \xff\n",
+		"error-line-number":       "c c\n\np edge 3 1\n\ne 1 2\n\nbad line here\n",
+	}
+}
+
+// mmInputs is the MatrixMarket corpus: the banner and size line, 1-based
+// ids checked against n, diagonal entries, values, and the entry count,
+// whose overflow is reported at the overflowing entry.
+func mmInputs() map[string]string {
+	const (
+		pat  = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+		real = "%%MatrixMarket matrix coordinate real general\n"
+	)
+	return map[string]string{
+		"empty":                    "",
+		"blank-banner":             "\n3 3 0\n",
+		"banner-only":              pat,
+		"banner-no-newline":        strings.TrimSuffix(pat, "\n"),
+		"banner-crlf":              strings.TrimSuffix(pat, "\n") + "\r\n2 2 1\r\n2 1\r\n",
+		"bad-banner-crlf":          "%%MatrixMarket matrix array real general\r\n",
+		"bad-banner-double-cr":     "%%MatrixMarket matrix array real general\r\r\n",
+		"banner-upper":             "%%MATRIXMARKET MATRIX COORDINATE PATTERN SYMMETRIC\n2 2 1\n2 1\n",
+		"banner-kelvin":            "%%MatrixMarKet matrix coordinate pattern symmetric\n2 2 1\n2 1\n",
+		"complex":                  "%%MatrixMarket matrix coordinate complex symmetric\n2 2 1\n2 1 1 0\n",
+		"skew":                     "%%MatrixMarket matrix coordinate pattern skew-symmetric\n",
+		"plain":                    pat + "% c\n\n3 3 2\n2 1\n3 2\n",
+		"integer":                  "%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 3\n",
+		"real-general-both":        real + "2 2 2\n1 2 1.5\n2 1 1.5\n",
+		"real-conflict":            real + "3 3 4\n2 3 1\n1 2 1.5\n3 2 1\n2 1 2.5\n",
+		"no-size":                  pat + "% only comments\n\n",
+		"size-arity":               pat + "3 3\n",
+		"size-arity-unicode":       pat + "3 3 1 4\n",
+		"not-square":               pat + "2 3 1\n1 2\n",
+		"bad-rows":                 pat + "x 3 1\n",
+		"bad-cols":                 pat + "3 -3 1\n",
+		"bad-nnz":                  pat + "3 3 x\n",
+		"rows-over-cap":            pat + "134217729 134217729 0\n",
+		"count-short":              pat + "3 3 2\n2 1\n",
+		"count-over":               pat + "4 4 1\n2 1\n3 2\n4 3\n",
+		"count-over-then-junk":     pat + "4 4 1\n2 1\n3 2\nx y\n",
+		"count-over-on-bad-weight": real + "4 4 1\n2 1 1\n3 2 -1\n",
+		"bad-weight-before-over":   real + "4 4 1\n2 1 -1\n3 2 1\n",
+		"count-zero-then-entry":    pat + "3 3 0\n2 1\n",
+		"diagonal":                 pat + "3 3 1\n2 2\n",
+		"diagonal-after-full":      pat + "3 3 1\n2 1\n2 2\n",
+		"arity-after-full":         pat + "3 3 1\n2 1\n2 1 1\n",
+		"zero-vertex":              pat + "3 3 1\n0 1\n",
+		"out-of-range":             pat + "3 3 1\n4 1\n",
+		"minus-zero":               pat + "3 3 1\n-0 1\n",
+		"plus":                     pat + "3 3 1\n+2 1\n",
+		"weight-zero":              real + "2 2 1\n1 2 0\n",
+		"weight-nan":               real + "2 2 1\n1 2 nan\n",
+		"weight-hex":               real + "2 2 1\n1 2 0x1p-2\n",
+		"weight-missing":           real + "2 2 1\n1 2\n",
+		"size-after-entry":         pat + "3 3 2\n2 1\n3 3 2\n3 2\n",
+		"p-col":                    pat + "3 3 1\np col 3 1\n",
+		"nbsp-separator":           pat + "3 3 1\n2 1\n",
+		"nbsp-arity":               pat + "3 3 1\n2 1 3\n",
+		"nbsp-comment":             pat + "3 3 0\n % comment\n",
+		"high-byte-token":          pat + "3 3 1\n2 \xff\n",
+		"percent-inline":           pat + "3 3 1\n2 1 % trailing\n",
+		"crlf-body":                pat + "3 3 1\r\n2 1\r\n",
+		"no-trailing-newline":      pat + "3 3 1\n2 1",
+		"error-line-number":        pat + "% c\n\n3 3 1\n\n% x\n\nbad\n",
 	}
 }
 
@@ -157,18 +304,29 @@ func TestReaderParityTable(t *testing.T) {
 		welInput := addWeightColumn(input)
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("el/%s/workers=%d", name, workers), func(t *testing.T) {
-				readBoth(t, elInput, false, workers)
+				readBoth(t, elInput, FormatEdgeList, workers)
 			})
 			t.Run(fmt.Sprintf("wel/%s/workers=%d", name, workers), func(t *testing.T) {
-				readBoth(t, welInput, true, workers)
+				readBoth(t, welInput, FormatWeightedEdgeList, workers)
 			})
 		}
 	}
-	for name, input := range welOnlyInputs() {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("wel/%s/workers=%d", name, workers), func(t *testing.T) {
-				readBoth(t, input, true, workers)
-			})
+	corpora := []struct {
+		prefix string
+		format Format
+		inputs map[string]string
+	}{
+		{"wel", FormatWeightedEdgeList, welOnlyInputs()},
+		{"dimacs", FormatDIMACS, dimacsInputs()},
+		{"mm", FormatMatrixMarket, mmInputs()},
+	}
+	for _, c := range corpora {
+		for name, input := range c.inputs {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", c.prefix, name, workers), func(t *testing.T) {
+					readBoth(t, input, c.format, workers)
+				})
+			}
 		}
 	}
 }
@@ -186,21 +344,134 @@ func addWeightColumn(input string) string {
 	return strings.Join(lines, "\n")
 }
 
+// assembleWeightedMap is the map-based assembly that the sort-merge of
+// assembleWeighted replaced, kept as the oracle for its weights and
+// for the mention its conflict error names.
+func assembleWeightedMap(n int, edges [][2]int32, weights []float64) (*Data, error) {
+	seen := make(map[[2]int32]float64, len(edges))
+	b := graph.NewBuilder(n)
+	for i, e := range edges {
+		key := [2]int32{min(e[0], e[1]), max(e[0], e[1])}
+		if prev, dup := seen[key]; dup {
+			if prev != weights[i] {
+				return nil, fmt.Errorf("graphio: conflicting weights %v and %v for edge {%d,%d}",
+					prev, weights[i], e[0], e[1])
+			}
+			continue
+		}
+		seen[key] = weights[i]
+		b.AddEdge(e[0], e[1])
+	}
+	g, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	ix := graph.NewEdgeIndex(g)
+	w := make([]float64, ix.NumEdges())
+	for key, weight := range seen {
+		w[ix.ID(key[0], key[1])] = weight
+	}
+	wg, err := graph.NewWeighted(g, w)
+	if err != nil {
+		return nil, err
+	}
+	return FromWeighted(wg), nil
+}
+
+// TestAssembleWeightedMatchesMap holds the sort-merge to the map-based
+// assembly on random mention lists: both orientations, duplicates,
+// occasional conflicts, sorted and unsorted inputs, and vertex counts
+// up to 2^20 so the radix sort runs on up to three bytes of each
+// endpoint. Both must return the same weighted graph or the same
+// error, which names the first conflicting mention in input order.
+func TestAssembleWeightedMatchesMap(t *testing.T) {
+	src := rng.New(5)
+	conflicts := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + src.Intn(60)
+		if trial%5 == 0 {
+			n = 2 + src.Intn(1<<20)
+		}
+		mentions := src.Intn(4 * n)
+		mentions = min(mentions, 5000)
+		edges := make([][2]int32, 0, mentions)
+		weights := make([]float64, 0, mentions)
+		for len(edges) < mentions {
+			u, v := int32(src.Intn(n)), int32(src.Intn(n))
+			if u == v {
+				continue
+			}
+			if len(edges) > 0 && src.Bool(0.3) {
+				// Mention an earlier edge again, either way round.
+				e := edges[src.Intn(len(edges))]
+				u, v = e[1], e[0]
+			}
+			// One weight per edge, but about one mention in 400 disagrees.
+			w := float64(1 + (min(u, v)*7+max(u, v)*3)%5)
+			if src.Bool(1.0 / 400) {
+				w += 0.5
+			}
+			edges = append(edges, [2]int32{u, v})
+			weights = append(weights, w)
+		}
+		if trial%3 == 0 {
+			// The sorted order every graphio writer produces.
+			perm := make([]int, len(edges))
+			for i := range perm {
+				perm[i] = i
+			}
+			key := func(i int) uint64 { return graph.PackEdge(edges[i][0], edges[i][1]) }
+			slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(key(a), key(b)) })
+			sortedE, sortedW := make([][2]int32, len(perm)), make([]float64, len(perm))
+			for k, i := range perm {
+				sortedE[k], sortedW[k] = edges[i], weights[i]
+			}
+			edges, weights = sortedE, sortedW
+		}
+		want, wantErr := assembleWeightedMap(n, edges, weights)
+		got, gotErr := assembleWeighted(n, slices.Clone(edges), slices.Clone(weights))
+		switch {
+		case (wantErr == nil) != (gotErr == nil):
+			t.Fatalf("trial %d: map err %v, sort-merge err %v", trial, wantErr, gotErr)
+		case wantErr != nil:
+			conflicts++
+			if wantErr.Error() != gotErr.Error() {
+				t.Fatalf("trial %d: error mismatch:\nmap:        %s\nsort-merge: %s", trial, wantErr, gotErr)
+			}
+		default:
+			if a, b := renderGraphEL(t, want), renderGraphEL(t, got); a != b {
+				t.Fatalf("trial %d: weighted graph mismatch", trial)
+			}
+		}
+	}
+	if conflicts == 0 || conflicts == 300 {
+		t.Fatalf("%d of 300 trials conflicted: the corpus misses a case", conflicts)
+	}
+}
+
+// buildLines renders lines rows, taking row i from mutate when it
+// returns ok and from row otherwise.
+func buildLines(lines int, row func(i int) string, mutate func(i int) (string, bool)) string {
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		if s, ok := mutate(i); ok {
+			sb.WriteString(s)
+			continue
+		}
+		sb.WriteString(row(i))
+	}
+	return sb.String()
+}
+
 // TestReaderParityMultiShard plants faults deep inside inputs large
 // enough to split across shards and windows: the reported error must be
 // the earliest bad line with the exact global line number, headers must
 // resolve last-one-wins, and clean parses must agree edge-for-edge.
 func TestReaderParityMultiShard(t *testing.T) {
 	build := func(lines int, mutate func(i int) (string, bool)) string {
-		var sb strings.Builder
-		for i := 0; i < lines; i++ {
-			if s, ok := mutate(i); ok {
-				sb.WriteString(s)
-				continue
-			}
-			fmt.Fprintf(&sb, "%d %d\n", i%977, 1000+(i*7)%997)
-		}
-		return sb.String()
+		return buildLines(lines, func(i int) string {
+			return fmt.Sprintf("%d %d\n", i%977, 1000+(i*7)%997)
+		}, mutate)
 	}
 	cases := map[string]string{
 		"clean": build(20000, func(int) (string, bool) { return "", false }),
@@ -241,11 +512,88 @@ func TestReaderParityMultiShard(t *testing.T) {
 	for name, input := range cases {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				readBoth(t, input, false, workers)
-				readBoth(t, addWeightColumn(input), true, workers)
+				readBoth(t, input, FormatEdgeList, workers)
+				readBoth(t, addWeightColumn(input), FormatWeightedEdgeList, workers)
 			})
 		}
 	}
+}
+
+// TestReaderParityMultiShardPrelude runs DIMACS and MatrixMarket inputs
+// of more than one window, with faults planted past the first window
+// and between shards: the merge must report the earliest fault, a
+// MatrixMarket entry-count overflow at its own line ahead of a later
+// fault or a bad value on that line, and the DIMACS edge-line count
+// only once every line parsed. About 4.3 MB of 4 KiB comment lines
+// fill the first window, so the entry lines after them parse in the
+// second one, split across shards.
+func TestReaderParityMultiShardPrelude(t *testing.T) {
+	const lines = 40000
+	filler := func(comment string) string {
+		return strings.Repeat(comment+" "+strings.Repeat("x", 4093)+"\n", 1100)
+	}
+	at := func(faults map[int]string) func(i int) (string, bool) {
+		return func(i int) (string, bool) {
+			s, ok := faults[i]
+			return s, ok
+		}
+	}
+	dimacsBody := func(faults map[int]string) string {
+		return buildLines(lines, func(i int) string {
+			return fmt.Sprintf("e %d %d\n", 1+i%977, 1000+(i*7)%997)
+		}, at(faults))
+	}
+	dimacs := func(declared int, faults map[int]string) string {
+		return fmt.Sprintf("c big\np edge 2000 %d\n", declared) + filler("c") + dimacsBody(faults)
+	}
+	mm := func(field string, nnz int, faults map[int]string) string {
+		return fmt.Sprintf("%%%%MatrixMarket matrix coordinate %s general\n%% big\n2000 2000 %d\n", field, nnz) +
+			filler("%") + buildLines(lines, func(i int) string {
+			if field == "real" {
+				return fmt.Sprintf("%d %d 1\n", 1000+(i*7)%997, 1+i%977)
+			}
+			return fmt.Sprintf("%d %d\n", 1000+(i*7)%997, 1+i%977)
+		}, at(faults))
+	}
+	const far = 30000
+	cases := []struct {
+		name, want string // want is a fragment of the error, "" for none
+		format     Format
+		input      string
+	}{
+		{"dimacs/clean", "", FormatDIMACS, dimacs(lines-1, map[int]string{lines / 2: "c filler\n"})},
+		{"dimacs/problem-line-past-window", "", FormatDIMACS, filler("c") + fmt.Sprintf("p edge 2000 %d\n", lines) + dimacsBody(nil)},
+		{"dimacs/count-mismatch", "edge lines but problem line declared", FormatDIMACS, dimacs(lines+1, nil)},
+		{"dimacs/error-past-window", "unknown DIMACS line", FormatDIMACS, dimacs(lines, map[int]string{far: "x 1 2\n", far + 5000: "e 5 5\n"})},
+		{"dimacs/duplicate-problem-past-window", "duplicate problem line", FormatDIMACS, dimacs(lines, map[int]string{far: "p edge 2000 1\n"})},
+		{"mm/clean", "", FormatMatrixMarket, mm("pattern", lines-1, map[int]string{lines / 2: "% filler\n"})},
+		{"mm/overflow-past-window", "more than the declared", FormatMatrixMarket, mm("pattern", far, map[int]string{far + 5000: "x y\n"})},
+		{"mm/error-before-overflow", "diagonal entry", FormatMatrixMarket, mm("pattern", far, map[int]string{far - 3: "5 5\n"})},
+		{"mm/overflow-on-bad-value", "more than the declared", FormatMatrixMarket, mm("real", far, map[int]string{far: "5 6 -1\n", far + 1: "x\n"})},
+		{"mm/bad-value-after-overflow", "more than the declared", FormatMatrixMarket, mm("real", far, map[int]string{far + 1: "5 6 -1\n"})},
+		{"mm/real-clean", "", FormatMatrixMarket, mm("real", lines, nil)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := readBoth(t, tc.input, tc.format, 1, 4)
+			if (err == nil) != (tc.want == "") || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// xStream is an endless stream of 'x' bytes: a line that never ends.
+type xStream struct{}
+
+var xBlock = bytes.Repeat([]byte("x"), 1<<16)
+
+func (xStream) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		n += copy(p[n:], xBlock)
+	}
+	return n, nil
 }
 
 // TestReaderParityTooLong pins the token-too-long behavior: a line
@@ -261,9 +609,35 @@ func TestReaderParityTooLong(t *testing.T) {
 	}
 	for name, input := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, err := readBoth(t, input, false, 4)
+			_, err := readBoth(t, input, FormatEdgeList, 4)
 			if name != "after-bad-line" && !strings.Contains(err.Error(), "token too long") {
 				t.Fatalf("want token-too-long error, got %v", err)
+			}
+		})
+	}
+	// DIMACS and MatrixMarket share the 64 MiB cap of maxLine; the long
+	// line is streamed, so no copy of it is held.
+	streamed := []struct {
+		name   string
+		format Format
+		head   string
+		wantTL bool
+	}{
+		{"dimacs/prelude-long-line", FormatDIMACS, "c ok\nc ", true},
+		{"dimacs/body-long-line", FormatDIMACS, "p edge 3 1\ne 1 2\nc ", true},
+		{"dimacs/after-bad-line", FormatDIMACS, "p edge 3 1\ne 1 9\n", false},
+		{"mm/banner-long-line", FormatMatrixMarket, "", true},
+		{"mm/body-long-line", FormatMatrixMarket, "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n2 1\n% ", true},
+		{"mm/after-overflow", FormatMatrixMarket, "%%MatrixMarket matrix coordinate pattern general\n3 3 0\n2 1\n", false},
+	}
+	for _, tc := range streamed {
+		t.Run(tc.name, func(t *testing.T) {
+			open := func() io.Reader {
+				return io.MultiReader(strings.NewReader(tc.head), io.LimitReader(xStream{}, maxLine+16))
+			}
+			_, err := readBothFrom(t, open, tc.format, 1, 4)
+			if got := err != nil && strings.Contains(err.Error(), "token too long"); got != tc.wantTL {
+				t.Fatalf("token-too-long=%v, want %v: %v", got, tc.wantTL, err)
 			}
 		})
 	}
@@ -287,38 +661,45 @@ func (f *failReader) Read(p []byte) (int, error) {
 
 // TestReaderParityIOError pins the scanner's error ordering on stream
 // failures: buffered complete and partial lines parse first (a parse
-// error there wins), and only then does the I/O error surface.
+// error there wins), and only then does the I/O error surface — ahead
+// of the end-of-input checks (missing prelude, entry counts).
 func TestReaderParityIOError(t *testing.T) {
 	boom := errors.New("boom")
+	const mm = "%%MatrixMarket matrix coordinate pattern symmetric\n"
 	cases := map[string]struct {
+		format    Format
 		input     string
 		wantIOErr bool
 	}{
-		"clean-buffered-lines":  {"n 4\n0 1\n2 3", true},
-		"parse-error-buffered":  {"n 4\nx y\n0 1", false},
-		"partial-line-buffered": {"0 1\n2 3", true},
+		"clean-buffered-lines":          {FormatEdgeList, "n 4\n0 1\n2 3", true},
+		"parse-error-buffered":          {FormatEdgeList, "n 4\nx y\n0 1", false},
+		"partial-line-buffered":         {FormatEdgeList, "0 1\n2 3", true},
+		"dimacs/clean-buffered-lines":   {FormatDIMACS, "p edge 4 2\ne 1 2\ne 3 4\n", true},
+		"dimacs/parse-error-buffered":   {FormatDIMACS, "p edge 4 2\nx\ne 1 2", false},
+		"dimacs/before-problem-line":    {FormatDIMACS, "c only a comment", true},
+		"dimacs/count-short":            {FormatDIMACS, "p edge 4 2\ne 1 2", true},
+		"mm/clean-buffered-lines":       {FormatMatrixMarket, mm + "4 4 2\n2 1\n4 3", true},
+		"mm/parse-error-buffered":       {FormatMatrixMarket, mm + "4 4 2\n2 2\n4 3", false},
+		"mm/overflow-buffered":          {FormatMatrixMarket, mm + "4 4 0\n2 1", false},
+		"mm/before-size-line":           {FormatMatrixMarket, mm + "% c", true},
+		"mm/before-banner":              {FormatMatrixMarket, "", true},
+		"mm/partial-banner-buffered":    {FormatMatrixMarket, "%%MatrixMarket matrix", false},
+		"mm/partial-size-line-buffered": {FormatMatrixMarket, mm + "4 4", false},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			ref, refErr := readEdgeListScanner(&failReader{data: []byte(tc.input), err: boom})
-			for _, workers := range []int{1, 4} {
-				fast, fastErr := readEdgeListFast(&failReader{data: []byte(tc.input), err: boom}, workers)
-				if (refErr == nil) != (fastErr == nil) || (refErr != nil && refErr.Error() != fastErr.Error()) {
-					t.Fatalf("workers=%d: scanner err %v, fast err %v", workers, refErr, fastErr)
-				}
-				if tc.wantIOErr != errors.Is(fastErr, boom) {
-					t.Fatalf("workers=%d: wantIOErr=%v, got %v", workers, tc.wantIOErr, fastErr)
-				}
-				_ = ref
-				_ = fast
+			open := func() io.Reader { return &failReader{data: []byte(tc.input), err: boom} }
+			_, err := readBothFrom(t, open, tc.format, 1, 4)
+			if tc.wantIOErr != errors.Is(err, boom) {
+				t.Fatalf("wantIOErr=%v, got %v", tc.wantIOErr, err)
 			}
 		})
 	}
 }
 
-// TestReaderParityScenarios renders every catalog scenario to both
-// native formats and demands the fast and scanner readers agree on the
-// bytes, for sequential and forced multi-shard parses.
+// TestReaderParityScenarios renders every catalog scenario to each
+// format with a fast reader and demands the fast and scanner readers
+// agree on the bytes, for sequential and forced multi-shard parses.
 func TestReaderParityScenarios(t *testing.T) {
 	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -326,43 +707,49 @@ func TestReaderParityScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generate: %v", err)
 			}
-			var buf bytes.Buffer
-			if err := WriteEdgeList(&buf, inst.G); err != nil {
-				t.Fatalf("write el: %v", err)
-			}
-			for _, workers := range []int{1, 4} {
-				readBoth(t, buf.String(), false, workers)
-			}
+			d := Unweighted(inst.G)
 			if inst.WG != nil {
-				var wbuf bytes.Buffer
-				if err := writeWeightedEdgeList(&wbuf, inst.WG); err != nil {
-					t.Fatalf("write wel: %v", err)
+				d = FromWeighted(inst.WG)
+			}
+			for _, f := range []Format{FormatEdgeList, FormatWeightedEdgeList, FormatDIMACS, FormatMatrixMarket} {
+				if (d.WG != nil && !f.Weighted()) || (d.WG == nil && !f.Unweighted()) {
+					continue
 				}
-				for _, workers := range []int{1, 4} {
-					readBoth(t, wbuf.String(), true, workers)
+				var buf bytes.Buffer
+				if err := Write(&buf, d, f); err != nil {
+					t.Fatalf("write %v: %v", f, err)
 				}
+				readBoth(t, buf.String(), f, 1, 4)
+			}
+			if d.WG != nil {
+				var buf bytes.Buffer
+				if err := WriteEdgeList(&buf, d.G); err != nil {
+					t.Fatalf("write el: %v", err)
+				}
+				readBoth(t, buf.String(), FormatEdgeList, 1, 4)
 			}
 		})
 	}
 }
 
-// TestWindowBoundaryParity slides a small input across the window
+// TestWindowBoundaryParity slides small inputs across the window
 // boundary via a reader that returns one byte per Read call, making the
 // windower accumulate in the smallest possible increments.
 func TestWindowBoundaryParity(t *testing.T) {
-	input := "n 9\n0 1\n# c\n2 3\n\n4 5\n"
-	fast, err := readEdgeListFast(iotest1{strings.NewReader(input)}, 4)
-	if err != nil {
-		t.Fatal(err)
+	inputs := []struct {
+		format Format
+		input  string
+	}{
+		{FormatEdgeList, "n 9\n0 1\n# c\n2 3\n\n4 5\n"},
+		{FormatWeightedEdgeList, "n 9\n0 1 2\n# c\n2 3 0.5\n\n4 5 1e3\n"},
+		{FormatDIMACS, "c c\n\np edge 9 3\ne 1 2\nc c\ne 3 4\n\ne 5 6"},
+		{FormatMatrixMarket, "%%MatrixMarket matrix coordinate real symmetric\r\n% c\n\n9 9 3\n2 1 1\n% c\n4 3 2\n\n6 5 3"},
 	}
-	ref, err := readEdgeListScanner(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderGraphEL(t, Unweighted(ref))
-	got := renderGraphEL(t, Unweighted(fast))
-	if want != got {
-		t.Fatalf("graph mismatch:\nscanner:\n%s\nfast:\n%s", want, got)
+	for _, in := range inputs {
+		d, err := readBothFrom(t, func() io.Reader { return iotest1{strings.NewReader(in.input)} }, in.format, 1, 4)
+		if err != nil || d.G.NumEdges() != 3 {
+			t.Fatalf("%v: got %v, %v; want 3 edges", in.format, d, err)
+		}
 	}
 }
 

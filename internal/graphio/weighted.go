@@ -3,7 +3,6 @@ package graphio
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"mpcgraph/internal/graph"
@@ -20,7 +19,7 @@ import (
 // See docs/formats.md.
 
 func readWeightedEdgeList(r io.Reader) (*Data, error) {
-	return readWELFast(r, 0)
+	return readNativeFast(r, true, 0)
 }
 
 // readWELScanner is the bufio.Scanner-based reference reader; the fast
@@ -93,32 +92,14 @@ func readWELScanner(r io.Reader) (*Data, error) {
 }
 
 func writeWeightedEdgeList(w io.Writer, wg *graph.Weighted) error {
-	buf := make([]byte, 0, writeFlush+96)
-	buf = append(buf, 'n', ' ')
-	buf = strconv.AppendInt(buf, int64(wg.NumVertices()), 10)
-	buf = append(buf, '\n')
-	if err := forEachWeightedEdge(wg, func(u, v int32, wt float64) error {
-		buf = strconv.AppendInt(buf, int64(u), 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(v), 10)
-		buf = append(buf, ' ')
-		// AppendFloat('g', -1, 64) renders the same shortest round-trip
-		// form as formatWeight.
-		buf = strconv.AppendFloat(buf, wt, 'g', -1, 64)
-		buf = append(buf, '\n')
-		if len(buf) >= writeFlush {
-			_, err := w.Write(buf)
-			buf = buf[:0]
-			return err
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	lw := newLineWriter(w)
+	lw.buf = append(lw.buf, "n "...)
+	lw.ints(int64(wg.NumVertices()))
+	lw.endLine()
+	forEachWeightedEdge(wg, func(u, v int32, wt float64) {
+		lw.ints(int64(u), int64(v))
+		lw.weight(wt)
+		lw.endLine()
+	})
+	return lw.flush()
 }
