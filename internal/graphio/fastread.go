@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,18 +138,21 @@ const (
 // (optional sign, decimal digits, int64 range). ok is false where
 // ParseInt fails or the value is negative; "-0" is 0.
 func parseUintToken(tok string) (v uint64, ok bool) {
-	i := 0
-	neg := false
-	if tok[0] == '+' || tok[0] == '-' {
-		neg = tok[0] == '-'
-		i++
-		if i == len(tok) {
-			return 0, false
-		}
+	neg := tok[0] == '-'
+	if neg || tok[0] == '+' {
+		tok = tok[1:]
 	}
-	for ; i < len(tok); i++ {
+	if len(tok) > 18 {
+		// Past 18 digits a value may leave int64: let strconv decide.
+		v, err := strconv.ParseUint(tok, 10, 63)
+		return v, err == nil && (!neg || v == 0)
+	}
+	if len(tok) == 0 {
+		return 0, false
+	}
+	for i := 0; i < len(tok); i++ {
 		d := uint64(tok[i] - '0')
-		if d > 9 || v > (math.MaxInt64-d)/10 {
+		if d > 9 {
 			return 0, false
 		}
 		v = v*10 + d
@@ -161,10 +163,22 @@ func parseUintToken(tok string) (v uint64, ok bool) {
 // parseVertexToken is parseVertex(tok, base, bound) without the error
 // construction, for a bound of at most MaxVertices: "bad vertex" for a
 // ParseInt failure or a value below base, "out of range" for an id at
-// or past bound.
+// or past bound. An unsigned token of up to 18 digits, which always
+// fits int64, takes the one-loop path.
 func parseVertexToken(tok string, base, bound int) (int32, int8) {
-	v, ok := parseUintToken(tok)
-	if !ok || v < uint64(base) {
+	var v uint64
+	for i := 0; i < len(tok); i++ {
+		d := uint64(tok[i] - '0')
+		if d > 9 || i == 18 {
+			var ok bool
+			if v, ok = parseUintToken(tok); !ok {
+				return 0, vBad
+			}
+			break
+		}
+		v = v*10 + d
+	}
+	if v < uint64(base) {
 		return 0, vBad
 	}
 	if v -= uint64(base); v >= uint64(bound) {
@@ -288,6 +302,8 @@ func (sp *bodySpec) parseLine(line string) lineVal {
 	if nt <= 0 {
 		return lineVal{kind: lineSkip} // blank (0) or comment (-1)
 	}
+	// The endpoint tokens and, in weighted formats, the weight token.
+	ut, vt, wt := toks[0], toks[1], toks[2]
 	switch sp.format {
 	case FormatDIMACS:
 		switch toks[0][0] {
@@ -297,9 +313,10 @@ func (sp *bodySpec) parseLine(line string) lineVal {
 			if nt != 3 {
 				return errLine("want 'e <u> <v>', got %q", strings.TrimSpace(line))
 			}
-			return sp.entry(toks[1], toks[2], "", "self-loop at %d")
+			ut, vt = toks[1], toks[2]
+		default:
+			return errLine("unknown DIMACS line %q", strings.TrimSpace(line))
 		}
-		return errLine("unknown DIMACS line %q", strings.TrimSpace(line))
 	case FormatMatrixMarket:
 		want := 2
 		if sp.weighted {
@@ -308,32 +325,25 @@ func (sp *bodySpec) parseLine(line string) lineVal {
 		if nt != want {
 			return errLine("want %d fields, got %q", want, strings.TrimSpace(line))
 		}
-		return sp.entry(toks[0], toks[1], toks[2], "diagonal entry (self-loop) at %d")
-	}
-	if toks[0] == "n" {
-		if nt != 2 {
-			return errLine("header must be 'n <count>'")
+	default:
+		if toks[0] == "n" {
+			if nt != 2 {
+				return errLine("header must be 'n <count>'")
+			}
+			n, ok := parseUintToken(toks[1])
+			if !ok || n > MaxVertices {
+				return errLine("bad vertex count %q (limit %d)", toks[1], MaxVertices)
+			}
+			return lineVal{kind: lineHeader, n: int(n)}
 		}
-		n, ok := parseUintToken(toks[1])
-		if !ok || n > MaxVertices {
-			return errLine("bad vertex count %q (limit %d)", toks[1], MaxVertices)
+		want, label := 2, "u v"
+		if sp.weighted {
+			want, label = 3, "u v w"
 		}
-		return lineVal{kind: lineHeader, n: int(n)}
+		if nt != want {
+			return errLine("want '%s', got %q", label, strings.TrimSpace(line))
+		}
 	}
-	want, label := 2, "u v"
-	if sp.weighted {
-		want, label = 3, "u v w"
-	}
-	if nt != want {
-		return errLine("want '%s', got %q", label, strings.TrimSpace(line))
-	}
-	return sp.entry(toks[0], toks[1], toks[2], "self-loop at %d")
-}
-
-// entry parses the endpoints and, for a weighted format, the weight
-// token wt of one entry line. loop is the self-loop message, which
-// reports the id as written.
-func (sp *bodySpec) entry(ut, vt, wt, loop string) lineVal {
 	u, st := parseVertexToken(ut, sp.base, sp.bound)
 	if st != vOK {
 		return vertexErr(ut, st)
@@ -343,7 +353,10 @@ func (sp *bodySpec) entry(ut, vt, wt, loop string) lineVal {
 		return vertexErr(vt, st)
 	}
 	if u == v {
-		return errLine(loop, int(u)+sp.base)
+		if sp.format == FormatMatrixMarket {
+			return errLine("diagonal entry (self-loop) at %d", u+1)
+		}
+		return errLine("self-loop at %d", int(u)+sp.base)
 	}
 	lv := lineVal{kind: lineEdge, u: u, v: v}
 	if sp.weighted {
@@ -388,9 +401,12 @@ func (s *shardState) reset() {
 // next one is MatrixMarket's "more than the declared nnz entries".
 func parseShard(data string, sp *bodySpec, s *shardState, limit int64) {
 	s.reset()
-	for len(data) > 0 {
-		var line string
-		line, data = cutLine(data)
+	for pos := 0; pos < len(data); {
+		line := data[pos:]
+		if nl := strings.IndexByte(line, '\n'); nl >= 0 {
+			line = line[:nl]
+		}
+		pos += len(line) + 1
 		s.lines++
 		lv := sp.parseLine(line)
 		if lv.kind == lineEdge || lv.counted {
