@@ -32,6 +32,7 @@ func readDIMACSScanner(r io.Reader) (*Data, error) {
 	sc := newScanner(r)
 	var (
 		b        *graph.Builder
+		n        int
 		declared int64 = -1
 		edges    int64
 		lineNo   int
@@ -49,11 +50,11 @@ func readDIMACSScanner(r io.Reader) (*Data, error) {
 			if b != nil {
 				return nil, fmt.Errorf("graphio: line %d: duplicate problem line", lineNo)
 			}
-			n, m, err := parseDIMACSProblem(line, lineNo)
+			nn, mm, err := parseDIMACSProblem(line, lineNo)
 			if err != nil {
 				return nil, err
 			}
-			declared = m
+			n, declared = nn, mm
 			b = graph.NewBuilder(n)
 		case 'e':
 			if b == nil {
@@ -63,11 +64,11 @@ func readDIMACSScanner(r io.Reader) (*Data, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graphio: line %d: want 'e <u> <v>', got %q", lineNo, line)
 			}
-			u, err := parseVertex(fields[1], 1, b.NumVertices(), lineNo)
+			u, err := parseVertex(fields[1], 1, n, lineNo)
 			if err != nil {
 				return nil, err
 			}
-			v, err := parseVertex(fields[2], 1, b.NumVertices(), lineNo)
+			v, err := parseVertex(fields[2], 1, n, lineNo)
 			if err != nil {
 				return nil, err
 			}
@@ -125,15 +126,11 @@ func dimacsLineErr(line string, lineNo int) error {
 func writeDIMACS(w io.Writer, g *graph.Graph) error {
 	lw := newLineWriter(w)
 	lw.buf = append(lw.buf, "p edge "...)
-	lw.buf = strconv.AppendInt(lw.buf, int64(g.NumVertices()), 10)
-	lw.buf = append(lw.buf, ' ')
-	lw.buf = strconv.AppendInt(lw.buf, int64(g.NumEdges()), 10)
+	lw.ints(int64(g.NumVertices()), int64(g.NumEdges()))
 	lw.endLine()
 	g.ForEachEdge(func(u, v int32) {
-		lw.buf = append(lw.buf, 'e', ' ')
-		lw.buf = strconv.AppendInt(lw.buf, int64(u)+1, 10)
-		lw.buf = append(lw.buf, ' ')
-		lw.buf = strconv.AppendInt(lw.buf, int64(v)+1, 10)
+		lw.buf = append(lw.buf, "e "...)
+		lw.ints(int64(u)+1, int64(v)+1)
 		lw.endLine()
 	})
 	return lw.flush()
