@@ -507,8 +507,7 @@ func (fr *fastReader) run(r io.Reader) error {
 }
 
 // window parses one window of complete lines: prelude lines first, one
-// at a time, then the rest fanned out across shards and merged in
-// shard order.
+// at a time, then the body.
 func (fr *fastReader) window(data string) error {
 	for fr.prelude != nil && len(data) > 0 {
 		var line string
@@ -525,6 +524,14 @@ func (fr *fastReader) window(data string) error {
 	if len(data) == 0 {
 		return nil
 	}
+	return fr.body(data)
+}
+
+// body fans the lines of data out across shards and merges them in
+// shard order. The first fault in shard order is found before anything
+// is merged, so the window need not stay reachable while the merge
+// grows the edge slices.
+func (fr *fastReader) body(data string) error {
 	cuts := lineCuts(data, par.ShardCount(fr.workers, len(data)))
 	nShards := len(cuts) - 1
 	for len(fr.shards) < nShards {
@@ -543,19 +550,24 @@ func (fr *fastReader) window(data string) error {
 		}
 		wg.Wait()
 	}
+	lines, entries := fr.lineBase, fr.entries
 	for i := 0; i < nShards; i++ {
 		s := &fr.shards[i]
-		if fr.spec.nnz >= 0 && fr.entries+s.entries > fr.spec.nnz {
+		if fr.spec.nnz >= 0 && entries+s.entries > fr.spec.nnz {
 			// The overflowing entry lies in this shard, at or before any
 			// error it stopped on: parse it again on the exact budget
 			// left to find that entry's line.
-			parseShard(data[cuts[i]:cuts[i+1]], &fr.spec, s, fr.spec.nnz-fr.entries)
+			parseShard(data[cuts[i]:cuts[i+1]], &fr.spec, s, fr.spec.nnz-entries)
 		}
 		if s.errVal.kind == lineErr {
-			return s.errVal.mkErr(fr.lineBase + s.lines)
+			return s.errVal.mkErr(lines + s.lines)
 		}
-		fr.lineBase += s.lines
-		fr.entries += s.entries
+		lines += s.lines
+		entries += s.entries
+	}
+	fr.lineBase, fr.entries = lines, entries
+	for i := 0; i < nShards; i++ {
+		s := &fr.shards[i]
 		if s.headerSet {
 			fr.n = s.headerN
 		}
