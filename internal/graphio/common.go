@@ -181,23 +181,6 @@ func newLineWriter(w io.Writer) *lineWriter {
 	return &lineWriter{w: w, buf: make([]byte, 0, writeFlush+256)}
 }
 
-// ints appends vs separated by single spaces.
-func (lw *lineWriter) ints(vs ...int64) {
-	for i, v := range vs {
-		if i > 0 {
-			lw.buf = append(lw.buf, ' ')
-		}
-		lw.buf = strconv.AppendInt(lw.buf, v, 10)
-	}
-}
-
-// weight appends a space and w in the shortest form that parses back
-// to the same float64, strconv.FormatFloat(w, 'g', -1, 64).
-func (lw *lineWriter) weight(w float64) {
-	lw.buf = append(lw.buf, ' ')
-	lw.buf = strconv.AppendFloat(lw.buf, w, 'g', -1, 64)
-}
-
 // endLine ends the current line and spills a full buffer.
 func (lw *lineWriter) endLine() {
 	lw.buf = append(lw.buf, '\n')
@@ -224,4 +207,19 @@ func (lw *lineWriter) write() {
 		_, lw.err = lw.w.Write(lw.buf)
 	}
 	lw.buf = lw.buf[:0]
+}
+
+// appendPair appends "a b" to buf. The writers render through free
+// functions on the slice, not lineWriter methods, which keeps the
+// per-edge loop as fast as plain strconv appends.
+func appendPair(buf []byte, a, b int64) []byte {
+	buf = strconv.AppendInt(buf, a, 10)
+	buf = append(buf, ' ')
+	return strconv.AppendInt(buf, b, 10)
+}
+
+// appendWeight appends a space and w in the shortest form that parses
+// back to the same float64, strconv.FormatFloat(w, 'g', -1, 64).
+func appendWeight(buf []byte, w float64) []byte {
+	return strconv.AppendFloat(append(buf, ' '), w, 'g', -1, 64)
 }

@@ -125,12 +125,10 @@ func dimacsLineErr(line string, lineNo int) error {
 
 func writeDIMACS(w io.Writer, g *graph.Graph) error {
 	lw := newLineWriter(w)
-	lw.buf = append(lw.buf, "p edge "...)
-	lw.ints(int64(g.NumVertices()), int64(g.NumEdges()))
+	lw.buf = appendPair(append(lw.buf, "p edge "...), int64(g.NumVertices()), int64(g.NumEdges()))
 	lw.endLine()
 	g.ForEachEdge(func(u, v int32) {
-		lw.buf = append(lw.buf, "e "...)
-		lw.ints(int64(u)+1, int64(v)+1)
+		lw.buf = appendPair(append(lw.buf, "e "...), int64(u)+1, int64(v)+1)
 		lw.endLine()
 	})
 	return lw.flush()

@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"mpcgraph/internal/graph"
@@ -103,11 +104,10 @@ func readEdgeListScanner(r io.Reader) (*graph.Graph, error) {
 // WriteEdgeList writes g in the edge-list format with a header line.
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	lw := newLineWriter(w)
-	lw.buf = append(lw.buf, "n "...)
-	lw.ints(int64(g.NumVertices()))
+	lw.buf = strconv.AppendInt(append(lw.buf, "n "...), int64(g.NumVertices()), 10)
 	lw.endLine()
 	g.ForEachEdge(func(u, v int32) {
-		lw.ints(int64(u), int64(v))
+		lw.buf = appendPair(lw.buf, int64(u), int64(v))
 		lw.endLine()
 	})
 	return lw.flush()

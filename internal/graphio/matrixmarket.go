@@ -198,18 +198,18 @@ func writeMatrixMarket(w io.Writer, d *Data) error {
 		lw.buf = append(lw.buf, "pattern symmetric"...)
 	}
 	lw.endLine()
-	lw.ints(int64(g.NumVertices()), int64(g.NumVertices()), int64(g.NumEdges()))
+	n := int64(g.NumVertices())
+	lw.buf = strconv.AppendInt(append(appendPair(lw.buf, n, n), ' '), int64(g.NumEdges()), 10)
 	lw.endLine()
 	// Lower triangle: row > column, so the larger endpoint leads.
 	if d.WG != nil {
 		forEachWeightedEdge(d.WG, func(u, v int32, wt float64) {
-			lw.ints(int64(v)+1, int64(u)+1)
-			lw.weight(wt)
+			lw.buf = appendWeight(appendPair(lw.buf, int64(v)+1, int64(u)+1), wt)
 			lw.endLine()
 		})
 	} else {
 		g.ForEachEdge(func(u, v int32) {
-			lw.ints(int64(v)+1, int64(u)+1)
+			lw.buf = appendPair(lw.buf, int64(v)+1, int64(u)+1)
 			lw.endLine()
 		})
 	}

@@ -154,7 +154,7 @@ func readMETIS(r io.Reader) (*Data, error) {
 func writeMETIS(w io.Writer, d *Data) error {
 	g := d.G
 	lw := newLineWriter(w)
-	lw.ints(int64(g.NumVertices()), int64(g.NumEdges()))
+	lw.buf = appendPair(lw.buf, int64(g.NumVertices()), int64(g.NumEdges()))
 	if d.WG != nil {
 		lw.buf = append(lw.buf, " 001"...)
 	}
@@ -164,9 +164,9 @@ func writeMETIS(w io.Writer, d *Data) error {
 			if i > 0 {
 				lw.buf = append(lw.buf, ' ')
 			}
-			lw.ints(int64(u) + 1)
+			lw.buf = strconv.AppendInt(lw.buf, int64(u)+1, 10)
 			if d.WG != nil {
-				lw.weight(d.WG.EdgeWeight(v, u))
+				lw.buf = appendWeight(lw.buf, d.WG.EdgeWeight(v, u))
 			}
 			lw.spill()
 		}

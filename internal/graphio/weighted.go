@@ -3,6 +3,7 @@ package graphio
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"mpcgraph/internal/graph"
@@ -93,12 +94,10 @@ func readWELScanner(r io.Reader) (*Data, error) {
 
 func writeWeightedEdgeList(w io.Writer, wg *graph.Weighted) error {
 	lw := newLineWriter(w)
-	lw.buf = append(lw.buf, "n "...)
-	lw.ints(int64(wg.NumVertices()))
+	lw.buf = strconv.AppendInt(append(lw.buf, "n "...), int64(wg.NumVertices()), 10)
 	lw.endLine()
 	forEachWeightedEdge(wg, func(u, v int32, wt float64) {
-		lw.ints(int64(u), int64(v))
-		lw.weight(wt)
+		lw.buf = appendWeight(appendPair(lw.buf, int64(u), int64(v)), wt)
 		lw.endLine()
 	})
 	return lw.flush()
