@@ -18,15 +18,6 @@ func benchData(b *testing.B) *graph.Graph {
 	return g
 }
 
-func renderEL(b *testing.B, g *graph.Graph) []byte {
-	b.Helper()
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // benchWeighted attaches the read benchmarks' weights to g.
 func benchWeighted(b *testing.B, g *graph.Graph) *graph.Weighted {
 	b.Helper()
@@ -50,10 +41,6 @@ func render(b *testing.B, d *Data, f Format) []byte {
 		b.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func renderWEL(b *testing.B, g *graph.Graph) []byte {
-	return render(b, FromWeighted(benchWeighted(b, g)), FormatWeightedEdgeList)
 }
 
 // benchRead measures Read of data in format f.
@@ -81,11 +68,11 @@ func benchWrite(b *testing.B, d *Data, f Format) {
 }
 
 func BenchmarkReadEdgeList(b *testing.B) {
-	benchRead(b, renderEL(b, benchData(b)), FormatEdgeList)
+	benchRead(b, render(b, Unweighted(benchData(b)), FormatEdgeList), FormatEdgeList)
 }
 
 func BenchmarkReadWEL(b *testing.B) {
-	benchRead(b, renderWEL(b, benchData(b)), FormatWeightedEdgeList)
+	benchRead(b, render(b, FromWeighted(benchWeighted(b, benchData(b))), FormatWeightedEdgeList), FormatWeightedEdgeList)
 }
 
 func BenchmarkReadDIMACS(b *testing.B) {

@@ -661,7 +661,9 @@ func readMatrixMarketFast(r io.Reader, workers int) (*Data, error) {
 	fr := newFastReader(bodySpec{format: FormatMatrixMarket, comment: '%', base: 1, nnz: -1}, workers, maxLine)
 	fr.prelude = func(raw string, lineNo int) (bool, error) {
 		if lineNo == 1 {
-			weighted, err := parseMMBanner(dropCR(raw))
+			// The banner error quotes the line as bufio.ScanLines
+			// returns it: without one trailing '\r'.
+			weighted, err := parseMMBanner(strings.TrimSuffix(raw, "\r"))
 			fr.spec.weighted = weighted
 			return false, err
 		}

@@ -181,11 +181,6 @@ func parseMMSize(line string, lineNo int) (n int, nnz int64, err error) {
 	return n, nnz, nil
 }
 
-// dropCR drops one '\r' before the line end, as bufio.ScanLines does.
-func dropCR(line string) string {
-	return strings.TrimSuffix(line, "\r")
-}
-
 // writeMatrixMarket writes the lower triangle of the symmetric adjacency
 // matrix: pattern for plain graphs, real for weighted ones.
 func writeMatrixMarket(w io.Writer, d *Data) error {
