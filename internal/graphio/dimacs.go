@@ -21,10 +21,6 @@ import (
 // self-loops are rejected. "p col ..." is accepted as a problem-name
 // synonym found in older instances. See docs/formats.md.
 
-func readDIMACS(r io.Reader) (*Data, error) {
-	return readDIMACSFast(r, 0)
-}
-
 // readDIMACSScanner is the bufio.Scanner-based reference reader; the
 // fast path in fastread.go is pinned against it by the parity and fuzz
 // suites.

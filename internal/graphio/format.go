@@ -156,13 +156,13 @@ func Read(r io.Reader, f Format) (*Data, error) {
 		}
 		return Unweighted(g), nil
 	case FormatWeightedEdgeList:
-		return readWeightedEdgeList(r)
+		return readNativeFast(r, true, 0)
 	case FormatDIMACS:
-		return readDIMACS(r)
+		return readDIMACSFast(r, 0)
 	case FormatMETIS:
 		return readMETIS(r)
 	case FormatMatrixMarket:
-		return readMatrixMarket(r)
+		return readMatrixMarketFast(r, 0)
 	default:
 		return nil, fmt.Errorf("graphio: cannot read format %q", f)
 	}

@@ -24,10 +24,6 @@ import (
 // and must agree on the value. Exactly nnz entry lines are required.
 // See docs/formats.md.
 
-func readMatrixMarket(r io.Reader) (*Data, error) {
-	return readMatrixMarketFast(r, 0)
-}
-
 // readMatrixMarketScanner is the bufio.Scanner-based reference reader;
 // the fast path in fastread.go is pinned against it by the parity and
 // fuzz suites.

@@ -19,10 +19,6 @@ import (
 // Duplicate edges are collapsed and must agree on the weight.
 // See docs/formats.md.
 
-func readWeightedEdgeList(r io.Reader) (*Data, error) {
-	return readNativeFast(r, true, 0)
-}
-
 // readWELScanner is the bufio.Scanner-based reference reader; the fast
 // path in fastread.go is pinned against it by the parity and fuzz
 // suites.
