@@ -149,14 +149,8 @@ func FromWeighted(wg *graph.Weighted) *Data { return &Data{G: wg.Graph, WG: wg} 
 // stream. Use ReadFile for path-based access with gzip auto-detection.
 func Read(r io.Reader, f Format) (*Data, error) {
 	switch f {
-	case FormatEdgeList:
-		g, err := ReadEdgeList(r)
-		if err != nil {
-			return nil, err
-		}
-		return Unweighted(g), nil
-	case FormatWeightedEdgeList:
-		return readNativeFast(r, true, 0)
+	case FormatEdgeList, FormatWeightedEdgeList:
+		return readNativeFast(r, f == FormatWeightedEdgeList, 0)
 	case FormatDIMACS:
 		return readDIMACSFast(r, 0)
 	case FormatMETIS:

@@ -91,6 +91,11 @@ func readBothFrom(t *testing.T, open func() io.Reader, f Format, workers ...int)
 			if refErr.Error() != fastErr.Error() {
 				t.Fatalf("%v, workers=%d: error mismatch:\nscanner: %s\nfast:    %s", f, w, refErr, fastErr)
 			}
+			// Equal text is not enough: a wrapped cause (an I/O error or
+			// bufio.ErrTooLong) must stay visible to errors.Is.
+			if cause := errors.Unwrap(refErr); (cause == nil) != (errors.Unwrap(fastErr) == nil) || (cause != nil && !errors.Is(fastErr, cause)) {
+				t.Fatalf("%v, workers=%d: scanner wraps %v, fast wraps %v", f, w, cause, errors.Unwrap(fastErr))
+			}
 		default:
 			if want, got := renderGraphEL(t, refD), renderGraphEL(t, fastD); want != got {
 				t.Fatalf("%v, workers=%d: graph mismatch:\nscanner:\n%s\nfast:\n%s", f, w, want, got)
@@ -583,19 +588,6 @@ func TestReaderParityMultiShardPrelude(t *testing.T) {
 	}
 }
 
-// xStream is an endless stream of 'x' bytes: a line that never ends.
-type xStream struct{}
-
-var xBlock = bytes.Repeat([]byte("x"), 1<<16)
-
-func (xStream) Read(p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		n += copy(p[n:], xBlock)
-	}
-	return n, nil
-}
-
 // TestReaderParityTooLong pins the token-too-long behavior: a line
 // whose content reaches the format's cap must produce the scanner's
 // exact ErrTooLong-wrapped error, while parse errors on earlier lines
@@ -616,7 +608,8 @@ func TestReaderParityTooLong(t *testing.T) {
 		})
 	}
 	// DIMACS and MatrixMarket share the 64 MiB cap of maxLine; the long
-	// line is streamed, so no copy of it is held.
+	// line is streamed, so no copy of it is held. A long line after good
+	// entries is a TestReaderErrors row.
 	streamed := []struct {
 		name   string
 		format Format
@@ -624,16 +617,14 @@ func TestReaderParityTooLong(t *testing.T) {
 		wantTL bool
 	}{
 		{"dimacs/prelude-long-line", FormatDIMACS, "c ok\nc ", true},
-		{"dimacs/body-long-line", FormatDIMACS, "p edge 3 1\ne 1 2\nc ", true},
 		{"dimacs/after-bad-line", FormatDIMACS, "p edge 3 1\ne 1 9\n", false},
 		{"mm/banner-long-line", FormatMatrixMarket, "", true},
-		{"mm/body-long-line", FormatMatrixMarket, "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n2 1\n% ", true},
 		{"mm/after-overflow", FormatMatrixMarket, "%%MatrixMarket matrix coordinate pattern general\n3 3 0\n2 1\n", false},
 	}
 	for _, tc := range streamed {
 		t.Run(tc.name, func(t *testing.T) {
 			open := func() io.Reader {
-				return io.MultiReader(strings.NewReader(tc.head), io.LimitReader(xStream{}, maxLine+16))
+				return io.MultiReader(strings.NewReader(tc.head), io.LimitReader(repeatByte('x'), maxLine+16))
 			}
 			_, err := readBothFrom(t, open, tc.format, 1, 4)
 			if got := err != nil && strings.Contains(err.Error(), "token too long"); got != tc.wantTL {
@@ -689,9 +680,13 @@ func TestReaderParityIOError(t *testing.T) {
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			open := func() io.Reader { return &failReader{data: []byte(tc.input), err: boom} }
-			_, err := readBothFrom(t, open, tc.format, 1, 4)
-			if tc.wantIOErr != errors.Is(err, boom) {
-				t.Fatalf("wantIOErr=%v, got %v", tc.wantIOErr, err)
+			if _, err := readBothFrom(t, open, tc.format, 1, 4); tc.wantIOErr != errors.Is(err, boom) {
+				t.Fatalf("scanner: wantIOErr=%v, got %v", tc.wantIOErr, err)
+			}
+			for _, w := range []int{1, 4} {
+				if _, err := readFast(open(), tc.format, w); tc.wantIOErr != errors.Is(err, boom) {
+					t.Fatalf("workers=%d: wantIOErr=%v, got %v", w, tc.wantIOErr, err)
+				}
 			}
 		})
 	}
