@@ -40,14 +40,12 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // server-side half of the retry convention in docs/service.md: clients
 // treat exactly these two statuses as retryable and honor the hint.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeJobRequest(r.Body, r.ContentLength)
+	if err != nil {
 		writeError(w, 400, fmt.Errorf("service: bad request body: %v", err))
 		return
 	}
-	job, status, err := s.submit(&req)
+	job, status, err := s.submit(req)
 	if err != nil {
 		switch status {
 		case 429:
