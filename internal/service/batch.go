@@ -384,10 +384,11 @@ type BatchTierHits struct {
 
 // view snapshots the batch for the wire.
 func (b *Batch) view() *BatchView {
-	// Member states first: b.jobs is immutable and currentState takes
-	// only j.mu, so no batch lock is held while touching job locks that
-	// a notify path could need... (the lock order is b.mu then j.mu
-	// anyway; this just keeps the b.mu hold short).
+	// The counts and the done test are one snapshot under b.mu (the lock
+	// order is b.mu, then j.mu). A member turns terminal before its
+	// noteTerminal appends it to completions, so a batch that reads
+	// done counts every member terminal.
+	b.mu.Lock()
 	var counts BatchCounts
 	for _, j := range b.jobs {
 		switch j.currentState() {
@@ -403,7 +404,6 @@ func (b *Batch) view() *BatchView {
 			counts.Canceled++
 		}
 	}
-	b.mu.Lock()
 	v := &BatchView{
 		ID:       b.ID,
 		State:    "running",

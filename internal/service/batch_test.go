@@ -595,3 +595,32 @@ func TestBatchEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchViewDoneCountsAllTerminal polls batch views while members
+// turn terminal on another goroutine: a view that reads done must count
+// no member queued or running.
+func TestBatchViewDoneCountsAllTerminal(t *testing.T) {
+	s := idleServer(t, Config{})
+	for round := 0; round < 200; round++ {
+		b := &Batch{ID: "b", created: time.Now(), jobs: make([]*Job, 16), changed: make(chan struct{}), lg: s.tel.log}
+		for i := range b.jobs {
+			b.jobs[i] = newJob("j"+strconv.Itoa(i), s.tel)
+			b.jobs[i].notify = b.noteTerminal
+		}
+		go func() {
+			for _, j := range b.jobs {
+				j.cancelJob("test")
+			}
+		}()
+		for {
+			v := b.view()
+			if v.State != "done" {
+				continue
+			}
+			if busy := v.Counts.Queued + v.Counts.Running; busy > 0 {
+				t.Fatalf("round %d: done view counts %d members queued or running: %+v", round, busy, v.Counts)
+			}
+			break
+		}
+	}
+}
