@@ -67,9 +67,10 @@ func TestReaderAllocsCeiling(t *testing.T) {
 
 // TestWriterAllocsCeiling pins the streaming writers: one reused append
 // buffer, flushed in 64 KiB slabs — independent of edge count. Each
-// writer measured 1 allocation (the DIMACS and MatrixMarket writers
-// made 492,221 and the weighted METIS writer 2,087,479 on this instance
-// when they called fmt.Fprintf per edge).
+// writer measured 1 allocation, the weighted METIS writer 2 with its
+// per-vertex edge-id cursors (the DIMACS and MatrixMarket writers made
+// 492,221 and the weighted METIS writer 2,087,479 on this instance when
+// they called fmt.Fprintf per edge).
 func TestWriterAllocsCeiling(t *testing.T) {
 	const writerAllocsCeiling = 2
 	if raceflag.Enabled {

@@ -159,14 +159,33 @@ func writeMETIS(w io.Writer, d *Data) error {
 		lw.buf = append(lw.buf, " 001"...)
 	}
 	lw.endLine()
+	// Edge ids run in lexicographic (u < v) order, so row v's edges to
+	// larger neighbours take the next ids in turn, and its edge to a
+	// smaller neighbour u takes next[u]: the id of u's first edge to a
+	// larger vertex, advanced as later rows meet u in ascending order.
+	var next []int32
+	if d.WG != nil {
+		next = make([]int32, g.NumVertices())
+	}
+	id := int32(0)
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		if next != nil {
+			next[v] = id
+		}
 		for i, u := range g.Neighbors(v) {
 			if i > 0 {
 				lw.buf = append(lw.buf, ' ')
 			}
 			lw.buf = strconv.AppendInt(lw.buf, int64(u)+1, 10)
-			if d.WG != nil {
-				lw.buf = appendWeight(lw.buf, d.WG.EdgeWeight(v, u))
+			if next != nil {
+				e := id
+				if u < v {
+					e = next[u]
+					next[u]++
+				} else {
+					id++
+				}
+				lw.buf = appendWeight(lw.buf, d.WG.W[e])
 			}
 			lw.spill()
 		}
