@@ -23,6 +23,7 @@
 #   make lint       - static-analysis suite (internal/analysis), tests included
 #   make lint-fast  - same suite, production files only (no test files)
 #   make fuzz-smoke - short -fuzz run of every graphio structured-reader fuzzer
+#                     and of the job and batch request fuzzers
 #   make test       - fast test suite
 #   make race       - full test suite under -race
 #   make cover      - enforce the per-package coverage floors of
@@ -104,7 +105,7 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
 
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/graph/ ./internal/graphio/ ./internal/mpc/ ./internal/mis/ ./internal/matching/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/graph/ ./internal/graphio/ ./internal/mpc/ ./internal/mis/ ./internal/matching/ ./internal/service/
 
 # The perf trajectory artifact: the E1..E18 smoke sweep in machine-
 # readable form, committed as BENCH_PR10.json so successive PRs can diff
@@ -136,13 +137,16 @@ examples-smoke:
 	done
 
 # Short-run fuzz smoke of the structured graph readers, so the strict
-# parse/error grammars of docs/formats.md stay exercised pre-merge
-# (each fuzzer also runs its corpus as ordinary seed tests in `race`).
+# parse/error grammars of docs/formats.md stay exercised pre-merge, and
+# of the daemon's job and batch request decoders (each fuzzer also runs
+# its corpus as ordinary seed tests in `race`).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadWEL -fuzztime=3s ./internal/graphio/
 	$(GO) test -run=NONE -fuzz=FuzzReadDIMACS -fuzztime=3s ./internal/graphio/
 	$(GO) test -run=NONE -fuzz=FuzzReadMETIS -fuzztime=3s ./internal/graphio/
 	$(GO) test -run=NONE -fuzz=FuzzReadMatrixMarket -fuzztime=3s ./internal/graphio/
+	$(GO) test -run=NONE -fuzz=FuzzJobRequest -fuzztime=3s ./internal/service/
+	$(GO) test -run=NONE -fuzz=FuzzBatchRequest -fuzztime=3s ./internal/service/
 
 list-smoke:
 	$(GO) run ./cmd/mpcgraph list
