@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math/bits"
 )
 
 // decodeJobRequest decodes a POST /v1/jobs body as
@@ -109,16 +111,23 @@ func (sc *objectScan) scan(b []byte, from int) (end int, ok bool) {
 		i++
 	}
 	for i < len(b) {
-		c := b[i]
-		i++
-		switch {
-		case inString:
-			for plain[c] && i < len(b) {
-				c = b[i]
+		if inString {
+			for i+8 <= len(b) {
+				if m := specialBytes(binary.LittleEndian.Uint64(b[i:])); m != 0 {
+					i += bits.TrailingZeros64(m) / 8
+					break
+				}
+				i += 8
+			}
+			for i < len(b) && plain[b[i]] {
 				i++
 			}
+			if i == len(b) {
+				break
+			}
+			c := b[i]
+			i++
 			switch {
-			case plain[c]:
 			case c == '"':
 				inString = false
 			case c != '\\':
@@ -130,6 +139,11 @@ func (sc *objectScan) scan(b []byte, from int) (end int, ok bool) {
 			default:
 				i++
 			}
+			continue
+		}
+		c := b[i]
+		i++
+		switch {
 		case depth == 0:
 			if c == '{' {
 				depth = 1
@@ -149,6 +163,16 @@ func (sc *objectScan) scan(b []byte, from int) (end int, ok bool) {
 	}
 	sc.depth, sc.inString, sc.escaped = depth, inString, escaped
 	return 0, true
+}
+
+// specialBytes flags, in the high bit of each byte of x, the bytes of
+// a string that plain does not mark: below ' ', at or above 0x80, '"'
+// and '\\'. A borrow can flag a byte above a flagged one, so only the
+// lowest flag is exact, and that is the one scan reads.
+func specialBytes(x uint64) uint64 {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	quote, slash := x^(ones*'"'), x^(ones*'\\')
+	return (x | (x-ones*' ')&^x | (quote-ones)&^quote | (slash-ones)&^slash) & highs
 }
 
 // plain marks the bytes a string holds as themselves: printable ASCII
