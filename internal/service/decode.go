@@ -63,16 +63,16 @@ const minRead = 512
 // object, when one of its strings holds a byte unescape does not
 // decode, or when the body ends or fails first.
 //
-// The buffer doubles as json.Decoder's does, but stops at a declared
-// size it has not reached yet: an honest Content-Length ends in one
-// buffer of exactly the body's length, and a false one costs no more
-// than the bytes that arrived.
+// The buffer doubles as json.Decoder's does, but jumps to a declared
+// size once that is at most eight times what has arrived: an honest
+// Content-Length ends in one buffer of exactly the body's length, and a
+// false one never costs more than eight times the bytes that came.
 func readFirstObject(body io.Reader, size int64) (buf []byte, end int, err error) {
 	var sc objectScan
 	for {
 		if len(buf) == cap(buf) {
 			c := max(2*len(buf), minRead)
-			if int64(len(buf)) < size && size < int64(c) {
+			if n := int64(len(buf)); n < size && size <= 8*max(n, minRead) {
 				c = int(size)
 			}
 			buf = append(make([]byte, 0, c), buf...)
@@ -165,14 +165,20 @@ func (sc *objectScan) scan(b []byte, from int) (end int, ok bool) {
 	return 0, true
 }
 
+const ones, highs = 0x0101010101010101, 0x8080808080808080
+
 // specialBytes flags, in the high bit of each byte of x, the bytes of
 // a string that plain does not mark: below ' ', at or above 0x80, '"'
 // and '\\'. A borrow can flag a byte above a flagged one, so only the
-// lowest flag is exact, and that is the one scan reads.
+// lowest flag is exact, and that is the one the callers read.
 func specialBytes(x uint64) uint64 {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	quote, slash := x^(ones*'"'), x^(ones*'\\')
-	return (x | (x-ones*' ')&^x | (quote-ones)&^quote | (slash-ones)&^slash) & highs
+	return (x|(x-ones*' ')&^x)&highs | matching(x, '"') | matching(x, '\\')
+}
+
+// matching flags the bytes of x equal to c, as specialBytes does.
+func matching(x uint64, c byte) uint64 {
+	y := x ^ ones*uint64(c)
+	return (y - ones) &^ y & highs
 }
 
 // plain marks the bytes a string holds as themselves: printable ASCII
@@ -218,17 +224,35 @@ func decodeUpload(b []byte) *JobRequest {
 // what objectScan vouched for: printable ASCII and complete escapes of
 // unescaped.
 func unescape(s []byte) []byte {
-	w, r := 0, 0
-	for {
-		k := bytes.IndexByte(s[r:], '\\')
-		if k < 0 {
-			return s[:w+copy(s[w:], s[r:])]
-		}
-		w += copy(s[w:], s[r:r+k])
-		s[w] = unescaped[s[r+k+1]]
-		w++
-		r += k + 2
+	w := bytes.IndexByte(s, '\\')
+	if w < 0 {
+		return s
 	}
+	for r := w; r < len(s); {
+		// Once the output trails the input by eight bytes, a word store
+		// reaches no unread byte, so words move up to the next escape.
+		if r-w >= 8 && r+8 <= len(s) {
+			x := binary.LittleEndian.Uint64(s[r:])
+			binary.LittleEndian.PutUint64(s[w:], x)
+			k := 8
+			if m := matching(x, '\\'); m != 0 {
+				k = bits.TrailingZeros64(m) / 8
+			}
+			w, r = w+k, r+k
+			if k == 8 {
+				continue
+			}
+		}
+		c := s[r]
+		if c == '\\' {
+			r++
+			c = unescaped[s[r]]
+		}
+		s[w] = c
+		w++
+		r++
+	}
+	return s[:w]
 }
 
 // findContent walks the top-level object of b, a whole object that

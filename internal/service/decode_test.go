@@ -199,6 +199,7 @@ var parityRows = []struct {
 	{"plain upload", `{"problem":"mis","graph":{"format":"el","content":"0 1\n1 2\n"}}`, true},
 	{"simple escapes", `{"problem":"mis","graph":{"format":"el","content":"\"\\\/\b\f\n\r\t x"}}`, true},
 	{"empty content", `{"graph":{"content":""}}`, true},
+	{"back-to-back escapes", `{"graph":{"content":"` + strings.Repeat(`\n\n\t\"\\\/\b\f\rxy`, 12) + `"}}`, true},
 	{"folded keys", `{"problem":"mis","Graph":{"format":"el","CONTENT":"0 1\n"}}`, true},
 	{"graph twice", `{"graph":{"format":"el"},"problem":"mis","graph":{"content":"0 1\n"}}`, false},
 	{"graph twice, content first", `{"graph":{"content":"0 1\n"},"problem":"mis","GRAPH":{"format":"el"}}`, false},
@@ -339,12 +340,12 @@ func BenchmarkDecodeJobRequest(b *testing.B) {
 	}
 }
 
-// TestDecodeJobRequestAllocsCeiling holds the decode of one upload body
-// with a declared length to its measured 20 allocations, at about twice
-// that: the body buffer, which doubles from 512 bytes up to the declared
-// length, the content string, and encoding/json's decode of the few
-// bytes around the content. Skipped under race: the race runtime
-// allocates on its own behalf.
+// TestDecodeJobRequestAllocsCeiling holds the decode of a 172 KB upload
+// body with a declared length to about twice its measured 25
+// allocations: eight body buffers (512 bytes doubling to 32 KiB, then
+// the declared length), the content string, and encoding/json's decode
+// of the few bytes around the content. Skipped under race: the race
+// runtime allocates on its own behalf.
 func TestDecodeJobRequestAllocsCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under the race runtime")
@@ -355,8 +356,7 @@ func TestDecodeJobRequestAllocsCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%d-byte body: %.0f allocs/op", len(body), allocs)
-	const ceiling = 40
+	const ceiling = 50
 	if allocs > ceiling {
 		t.Errorf("decodeJobRequest: %.0f allocs/op, ceiling %d", allocs, ceiling)
 	}
