@@ -22,11 +22,19 @@ import (
 // errBodyRead is the failure a test body reader reports.
 var errBodyRead = errors.New("body read failed")
 
-// failingBody serves its text, then fails every read with errBodyRead.
-type failingBody struct{ text string }
+// failingBody serves its text, then fails every read with errBodyRead,
+// or only the first one and then reports io.EOF when once is set.
+type failingBody struct {
+	text       string
+	once, done bool
+}
 
 func (b *failingBody) Read(p []byte) (int, error) {
+	if b.done {
+		return 0, io.EOF
+	}
 	if b.text == "" {
+		b.done = b.once
 		return 0, errBodyRead
 	}
 	n := copy(p, b.text)
@@ -34,30 +42,39 @@ func (b *failingBody) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// uploadHead opens an upload body up to its content value.
+const uploadHead = `{"problem":"mis","graph":{"format":"el","content":`
+
+// badBodies are bodies encoding/json cannot decode, with its error text.
+var badBodies = []struct{ name, body, want string }{
+	{"empty", "", "EOF"},
+	{"open brace", "{", "unexpected EOF"},
+	{"cut inside content", uploadHead + `"0 1\n1 2`, "unexpected EOF"},
+	{"unknown top-level field", `{"problem":"mis","nope":1}`, `json: unknown field "nope"`},
+	{"unknown graph field", uploadHead + `"0 1\n","nope":true}}`, `json: unknown field "nope"`},
+	{"content number", uploadHead + `12}}`,
+		"json: cannot unmarshal number into Go struct field GraphRequest.graph.content of type string"},
+	{"graph string", `{"problem":"mis","graph":"0 1"}`,
+		"json: cannot unmarshal string into Go struct field JobRequest.graph of type service.GraphRequest"},
+	{"control byte in content", uploadHead + "\"0 1\x01\"}}", `invalid character '\x01' in string literal`},
+	{"bad escape in content", uploadHead + `"0 1\x"}}`, `invalid character 'x' in string escape code`},
+}
+
 // TestSubmitBodyErrors pins the status and the full text of every way
 // POST /v1/jobs rejects a body it cannot decode.
 func TestSubmitBodyErrors(t *testing.T) {
 	s := idleServer(t, Config{})
 	h := s.Handler()
-	const head = `{"problem":"mis","graph":{"format":"el","content":`
-	for _, tc := range []struct {
+	type row struct {
 		name string
 		body io.Reader
 		want string
-	}{
-		{"empty", strings.NewReader(""), "EOF"},
-		{"open brace", strings.NewReader("{"), "unexpected EOF"},
-		{"cut inside content", strings.NewReader(head + `"0 1\n1 2`), "unexpected EOF"},
-		{"unknown top-level field", strings.NewReader(`{"problem":"mis","nope":1}`), `json: unknown field "nope"`},
-		{"unknown graph field", strings.NewReader(head + `"0 1\n","nope":true}}`), `json: unknown field "nope"`},
-		{"content number", strings.NewReader(head + `12}}`),
-			"json: cannot unmarshal number into Go struct field GraphRequest.graph.content of type string"},
-		{"graph string", strings.NewReader(`{"problem":"mis","graph":"0 1"}`),
-			"json: cannot unmarshal string into Go struct field JobRequest.graph of type service.GraphRequest"},
-		{"control byte in content", strings.NewReader(head + "\"0 1\x01\"}}"), `invalid character '\x01' in string literal`},
-		{"bad escape in content", strings.NewReader(head + `"0 1\x"}}`), `invalid character 'x' in string escape code`},
-		{"reader fails mid-content", &failingBody{head + `"0 1\n1 2\n`}, errBodyRead.Error()},
-	} {
+	}
+	rows := []row{{"reader fails mid-content", &failingBody{text: uploadHead + `"0 1\n1 2\n`}, errBodyRead.Error()}}
+	for _, tc := range badBodies {
+		rows = append(rows, row{tc.name, strings.NewReader(tc.body), tc.want})
+	}
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", tc.body))
@@ -117,7 +134,8 @@ func checkDecodeParity(t *testing.T, body []byte) {
 		{"unsized one-byte", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(body)) }, -1},
 		{"declared short", func() io.Reader { return iotest.HalfReader(bytes.NewReader(body)) }, n / 2},
 		{"declared long", func() io.Reader { return bytes.NewReader(body) }, 4*n + 1},
-		{"failing", func() io.Reader { return &failingBody{string(body)} }, -1},
+		{"failing", func() io.Reader { return &failingBody{text: string(body)} }, -1},
+		{"failing once", func() io.Reader { return &failingBody{text: string(body), once: true} }, -1},
 	} {
 		got, err := decodeJobRequest(rd.open(), rd.size)
 		want, wantErr := referenceDecode(rd.open())
@@ -239,6 +257,11 @@ var parityRows = []struct {
 // every parity row and every undecodable body TestSubmitBodyErrors
 // pins, and checks which rows the fast path decodes.
 func TestDecodeJobRequestParity(t *testing.T) {
+	for _, tc := range badBodies {
+		t.Run(tc.name, func(t *testing.T) {
+			checkDecodeParity(t, []byte(tc.body))
+		})
+	}
 	for _, tc := range parityRows {
 		t.Run(tc.name, func(t *testing.T) {
 			checkDecodeParity(t, []byte(tc.body))
@@ -262,6 +285,9 @@ func TestDecodeJobRequestParity(t *testing.T) {
 // bodies: the same request or the same error text, through every
 // reader checkDecodeParity uses.
 func FuzzJobRequest(f *testing.F) {
+	for _, tc := range badBodies {
+		f.Add([]byte(tc.body))
+	}
 	for _, tc := range parityRows {
 		f.Add([]byte(tc.body))
 	}
