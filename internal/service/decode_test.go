@@ -227,7 +227,7 @@ var parityRows = []struct {
 	{"null members", `{"problem":"mis","model":null,"scenario":null,"graph":{"format":null,"content":"0 1\n","base64":null},"options":null,"timeoutMs":null,"noCache":null}`, true},
 	{"null graph", `{"problem":"mis","graph":null}`, false},
 	{"null content", `{"problem":"mis","graph":{"format":"el","content":null}}`, false},
-	{"unicode escapes", `{"problem":"mis","graph":{"format":"el","content":"0 1\u000a<\u0000 😀 \ud800x é"}}`, false},
+	{"unicode escapes", `{"problem":"mis","graph":{"format":"el","content":"0 1\u000a\u003c\u003e\u0026 \u0000 \ud83d\ude00 \ud800x \ud800\u0041 \u00e9"}}`, false},
 	{"escaped key", `{"problem":"mis","gr\u0061ph":{"format":"el","content":"0 1\n"}}`, false},
 	{"key with a simple escape", `{"problem":"mis","graph":{"format":"el","content":"0 1\n","con\/tent":"x"}}`, false},
 	{"key folding to a field by Unicode", `{"problem":"mis","graph":{"format":"el","content":"0 1\n"},"ſcenario":null}`, false},
