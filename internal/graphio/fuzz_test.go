@@ -2,6 +2,8 @@ package graphio
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,6 +33,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	addBoundarySeeds(f, FormatEdgeList, false)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if declaresHugeGraph(data) {
 			return
@@ -55,6 +58,15 @@ func FuzzReadEdgeList(f *testing.F) {
 				g.NumVertices(), g.NumEdges(), g2.NumVertices(), g2.NumEdges())
 		}
 	})
+}
+
+// addBoundarySeeds appends the boundary rows of the parity table
+// (boundaryInputs) to a fuzzer's seeds, in a fixed order.
+func addBoundarySeeds(f *testing.F, format Format, weighted bool) {
+	rows := boundaryInputs(format, weighted)
+	for _, name := range slices.Sorted(maps.Keys(rows)) {
+		f.Add([]byte(rows[name]))
+	}
 }
 
 // declaresHugeGraph reports whether data contains a digit run of 7 or
@@ -143,6 +155,7 @@ func FuzzReadWEL(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	addBoundarySeeds(f, FormatWeightedEdgeList, true)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzParity(t, data, FormatWeightedEdgeList)
 		fuzzFormat(t, data, FormatWeightedEdgeList)
@@ -174,6 +187,7 @@ func FuzzReadDIMACS(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	addBoundarySeeds(f, FormatDIMACS, false)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzParity(t, data, FormatDIMACS)
 		fuzzFormat(t, data, FormatDIMACS)
@@ -229,6 +243,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	addBoundarySeeds(f, FormatMatrixMarket, false)
+	addBoundarySeeds(f, FormatMatrixMarket, true)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzParity(t, data, FormatMatrixMarket)
 		fuzzFormat(t, data, FormatMatrixMarket)

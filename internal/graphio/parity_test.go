@@ -300,6 +300,129 @@ func mmInputs() map[string]string {
 	}
 }
 
+// boundaryFormats are the line formats boundaryInputs renders, named
+// for their subtests; MatrixMarket comes as a pattern and a real file.
+var boundaryFormats = []struct {
+	name     string
+	format   Format
+	weighted bool
+}{
+	{"el", FormatEdgeList, false},
+	{"wel", FormatWeightedEdgeList, true},
+	{"dimacs", FormatDIMACS, false},
+	{"mm-pattern", FormatMatrixMarket, false},
+	{"mm-real", FormatMatrixMarket, true},
+}
+
+// boundaryInputs is the corpus at the edges of a well-formed entry
+// line, rendered for one line format: digit counts around 18, signs and
+// leading zeros, every ASCII space byte before, between and after the
+// tokens, a last line without '\n', ids at the bound and just below it,
+// id 0, self-loops, headers and comments between entries, and, in the
+// weighted formats, the weights strconv.ParseFloat treats specially.
+//
+// Rows are written once in a neutral form: '@' is the DIMACS "e" token
+// (nothing elsewhere) and '|' the weight column (" 1" in the weighted
+// formats, nothing elsewhere). DIMACS and MatrixMarket rows get a
+// prelude declaring 9 vertices and one entry per entry line.
+func boundaryInputs(f Format, weighted bool) map[string]string {
+	comment := map[Format]string{FormatEdgeList: "#", FormatWeightedEdgeList: "#", FormatDIMACS: "c", FormatMatrixMarket: "%"}[f]
+	rows := map[string]string{
+		"id-18-digits":           "@ 000000000000000001 2|\n",
+		"id-18-digits-high":      "@ 999999999999999999 2|\n",
+		"id-19-digits":           "@ 0000000000000000001 2|\n",
+		"id-19-digits-high":      "@ 1000000000000000000 2|\n",
+		"id-19-digits-over":      "@ 9999999999999999999 2|\n",
+		"second-id-18-digits":    "@ 2 000000000000000001|\n",
+		"second-id-19-digits":    "@ 2 0000000000000000001|\n",
+		"plus-one":               "@ +1 2|\n",
+		"second-plus-one":        "@ 2 +1|\n",
+		"minus-zero":             "@ -0 2|\n",
+		"leading-zeros":          "@ 007 2|\n",
+		"tabs":                   "\t@\t1\t2|\t\n",
+		"vertical-tabs":          "\v@\v1\v2|\v\n",
+		"form-feeds":             "\f@\f1\f2|\f\n",
+		"crlf":                   "@ 1 2|\r\n@ 2 3|\r\n",
+		"space-runs":             "   @   1    2|    \n",
+		"mixed-space":            " \t\v\f\r@ \t\v\f\r1 \t\v\f\r2| \t\v\f\r\n",
+		"cr-between":             "@ 1\r2|\n",
+		"no-final-newline":       "@ 1 2|\n@ 2 3|",
+		"no-final-newline-space": "@ 1 2|\n@ 2 3| \t",
+		"no-final-newline-cr":    "@ 1 2|\n@ 2 3|\r",
+		"zero-id":                "@ 0 1|\n",
+		"second-zero-id":         "@ 1 0|\n",
+		"self-loop":              "@ 1 2|\n@ 3 3|\n",
+		"comment-between":        "@ 1 2|\n" + comment + " x\n  " + comment + "\n@ 2 3|\n",
+		"blank-between":          "@ 1 2|\n\n \t\n@ 2 3|\n",
+		"three-ids":              "@ 1 2 3|\n",
+		"trailing-token":         "@ 1 2| x\n",
+		"nbsp-after":             "@ 1 2|\u00a0\n",
+	}
+	if f == FormatEdgeList || f == FormatWeightedEdgeList {
+		// The bound is MaxVertices; the header keeps the id just below
+		// it from sizing a 2^27-vertex graph (finishN rejects it).
+		rows["id-at-bound"] = "134217728 1|\n"
+		rows["id-below-bound"] = "n 2\n134217727 1|\n"
+		rows["header-between"] = "1 2|\nn 9\n2 3|\n"
+	} else {
+		rows["id-at-bound"] = "@ 10 1|\n"
+		rows["id-below-bound"] = "@ 9 1|\n@ 1 9|\n"
+	}
+	switch f {
+	case FormatDIMACS:
+		rows["e-glued"] = "e1 2\n"
+		rows["e-word"] = "ex 1 2\n"
+		rows["e-edge"] = "edge 1 2\n"
+		rows["e-tab"] = "e\t1 2\n"
+		rows["e-alone"] = "e\n"
+	case FormatMatrixMarket:
+		rows["nnz-overflow"] = "@ 2 1|\n@ 3 2|\n@ 4 3|\n"
+	}
+	if weighted {
+		for _, w := range []string{"1e308", "1e309", "NaN", "+Inf", "0x1p-2", ".5", "5.", "-0", "0", "1_0", "1e-400"} {
+			rows["weight-"+w] = "@ 1 2 " + w + "\n"
+		}
+		rows["weight-missing"] = "@ 1 2\n"
+	}
+	weight := ""
+	if weighted {
+		weight = " 1"
+	}
+	marks := []string{"|", weight, "@", "e"}
+	if f != FormatDIMACS {
+		marks = append([]string{"@ ", "", "@\t", "", "@\v", "", "@\f", "", "@\r", ""}, marks[:2]...)
+	}
+	replacer := strings.NewReplacer(marks...)
+	out := make(map[string]string, len(rows))
+	for name, row := range rows {
+		entries := strings.Count(row, "@")
+		body := replacer.Replace(row)
+		switch f {
+		case FormatDIMACS:
+			// Count "edge 1 2" and the like too: any line whose trimmed
+			// text starts with 'e' is an edge line.
+			entries = 0
+			for _, line := range strings.Split(body, "\n") {
+				if strings.HasPrefix(strings.TrimSpace(line), "e") {
+					entries++
+				}
+			}
+			body = fmt.Sprintf("p edge 9 %d\n", entries) + body
+		case FormatMatrixMarket:
+			banner := "%%MatrixMarket matrix coordinate pattern symmetric\n"
+			if weighted {
+				banner = "%%MatrixMarket matrix coordinate real general\n"
+			}
+			if name == "nnz-overflow" {
+				entries = 2 // the third entry line overflows
+			}
+			body = banner + fmt.Sprintf("9 9 %d\n", entries) + body
+		}
+		out[name] = body
+	}
+	return out
+}
+
 func TestReaderParityTable(t *testing.T) {
 	for name, input := range parityInputs() {
 		elInput := input
@@ -324,6 +447,13 @@ func TestReaderParityTable(t *testing.T) {
 		{"wel", FormatWeightedEdgeList, welOnlyInputs()},
 		{"dimacs", FormatDIMACS, dimacsInputs()},
 		{"mm", FormatMatrixMarket, mmInputs()},
+	}
+	for _, b := range boundaryFormats {
+		corpora = append(corpora, struct {
+			prefix string
+			format Format
+			inputs map[string]string
+		}{"boundary/" + b.name, b.format, boundaryInputs(b.format, b.weighted)})
 	}
 	for _, c := range corpora {
 		for name, input := range c.inputs {
