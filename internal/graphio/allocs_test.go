@@ -3,6 +3,10 @@ package graphio
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mpcgraph/internal/graph"
@@ -61,6 +65,44 @@ func TestReaderAllocsCeiling(t *testing.T) {
 		})
 		if allocs > tc.ceiling {
 			t.Errorf("%s read: %.0f allocs/op, ceiling %.0f", tc.name, allocs, tc.ceiling)
+		}
+	}
+}
+
+// TestReadFileDeclaredCountsSizeNothing holds a read that knows its
+// file's length to a small multiple of that length when the file
+// declares an entry count it cannot hold: DIMACS m = 2^62 and
+// MatrixMarket nnz = 2^62, each followed by two entry lines, after
+// 64 KiB of comments that make the length dwarf the readers' fixed
+// buffers. The slices are sized from bytes read, never from a declared
+// count, so both reads fail on the count having allocated little.
+func TestReadFileDeclaredCountsSizeNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race runtime")
+	}
+	filler := func(comment string) string {
+		return strings.Repeat(comment+" "+strings.Repeat("x", 61)+"\n", 1024)
+	}
+	cases := []struct{ name, content, want string }{
+		{"huge-m.dimacs", filler("c") + "p edge 4 4611686018427387904\ne 1 2\ne 3 4\n",
+			"graphio: 2 edge lines but problem line declared 4611686018427387904"},
+		{"huge-nnz.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n" + filler("%") + "4 4 4611686018427387904\n2 1\n4 3\n",
+			"graphio: 2 entries but size line declared 4611686018427387904"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), tc.name)
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFile(path)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+		if alloc, size := after.TotalAlloc-before.TotalAlloc, uint64(len(tc.content)); alloc > 4*size {
+			t.Errorf("%s: read allocated %d bytes for a %d-byte file, ceiling %d", tc.name, alloc, size, 4*size)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package graphio
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mpcgraph/internal/graph"
@@ -97,6 +99,25 @@ func BenchmarkReadMETIS(b *testing.B) {
 	b.Run("weighted", func(b *testing.B) {
 		benchRead(b, render(b, FromWeighted(benchWeighted(b, g)), FormatMETIS), FormatMETIS)
 	})
+}
+
+// BenchmarkReadFileEdgeList reads benchData's edge list through
+// ReadFile from an uncompressed file, the path that knows the stream's
+// length and so sizes the merged edge slices once.
+func BenchmarkReadFileEdgeList(b *testing.B) {
+	data := render(b, Unweighted(benchData(b)), FormatEdgeList)
+	path := filepath.Join(b.TempDir(), "g.el")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkWriteEdgeList(b *testing.B) {

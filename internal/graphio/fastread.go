@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,13 +28,15 @@ import (
 // complete lines. A format's prelude (the MatrixMarket banner and size
 // line, or the DIMACS comments and problem line) is parsed line by line
 // with the reference logic. The rest of each window is split at line
-// boundaries into one shard per worker; shards parse independently
-// with an ASCII tokenizer and custom integer parser, and any line
-// holding a byte >= 0x80 is tokenized by strings.Fields instead, since
-// only it splits on Unicode whitespace. Shard results merge in shard
-// order, which makes edge order, header precedence ("last header
-// wins"), entry counts and the reported error (the earliest bad line)
-// identical to the sequential scan for every worker count.
+// boundaries into one shard per worker; shards parse independently.
+// A well-formed entry line is read in one byte loop (scanEntry); every
+// other line goes to parseLine, an ASCII tokenizer and custom integer
+// parser, and any line holding a byte >= 0x80 is tokenized by
+// strings.Fields instead, since only it splits on Unicode whitespace.
+// Shard results merge in shard order, which makes edge order, header
+// precedence ("last header wins"), entry counts and the reported error
+// (the earliest bad line) identical to the sequential scan for every
+// worker count.
 
 // readWindow is the window accumulation target. Windows always end on
 // a line boundary, so their actual size is bounded by the line cap,
@@ -50,6 +53,7 @@ const elMaxLine = 1 << 24
 type windower struct {
 	r        io.Reader
 	maxLine  int
+	size     int64 // the stream's length when known, else 0
 	buf      []byte
 	n        int   // buf[:n] is unconsumed
 	consumed int   // prefix handed out by the previous next()
@@ -67,7 +71,14 @@ type windower struct {
 // bufio.Scanner, which emits the buffered tokens before reporting Err.
 func (w *windower) next() (data []byte, tooLong, final bool) {
 	if w.buf == nil {
-		w.buf = make([]byte, readWindow)
+		// A stream known to be shorter than a window gets a buffer one
+		// byte longer than itself, room for the read that finds EOF; a
+		// wrong length only costs the doubling below.
+		n := readWindow
+		if w.size > 0 && w.size < readWindow {
+			n = int(w.size) + 1
+		}
+		w.buf = make([]byte, n)
 		w.lastNL = -1
 	}
 	if w.consumed > 0 {
@@ -395,39 +406,140 @@ func (s *shardState) reset() {
 	s.errVal = lineVal{}
 }
 
+// scanID reads the unsigned id of 1 to 18 digits at data[i:], with the
+// base and bound checks of parseVertexToken, and returns it 0-based
+// with the index past its digits. ok is false for no digits, for more
+// than 18 (where a value may leave int64: parseLine decides) and for an
+// id below base or at or past base+bound.
+func (sp *bodySpec) scanID(data string, i int) (id int32, end int, ok bool) {
+	start := i
+	var v uint64
+	for ; i < len(data); i++ {
+		d := uint64(data[i] - '0')
+		if d > 9 {
+			break
+		}
+		v = v*10 + d
+	}
+	if n := i - start; n == 0 || n > 18 || v < uint64(sp.base) || v-uint64(sp.base) >= uint64(sp.bound) {
+		return 0, i, false
+	}
+	return int32(v - uint64(sp.base)), i, true
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not in asciiSpace.
+func skipSpace(data string, i int) int {
+	for i < len(data) && asciiSpace[data[i]] {
+		i++
+	}
+	return i
+}
+
+// scanEntry reads the entry line that starts at data[pos] in one pass
+// over its bytes, when it is a well-formed entry: optional ASCII space,
+// the DIMACS "e" token and space, an id, space and a second id, in the
+// weighted formats space and a weight, then optional space and '\n' or
+// the end of data. It returns the entry parseLine would return for the
+// line and the index past its '\n'. On any other byte or any failed
+// check it returns ok=false and the caller hands the line to parseLine,
+// which stays the only reader of headers, comments and errors; so every
+// line scanEntry accepts, parseLine accepts with the same result.
+func (sp *bodySpec) scanEntry(data string, pos int) (u, v int32, wt float64, next int, ok bool) {
+	i := skipSpace(data, pos)
+	if sp.format == FormatDIMACS {
+		if i+1 >= len(data) || data[i] != 'e' || !asciiSpace[data[i+1]] {
+			return
+		}
+		i = skipSpace(data, i+1)
+	}
+	if u, i, ok = sp.scanID(data, i); !ok || i == len(data) || !asciiSpace[data[i]] {
+		return 0, 0, 0, 0, false
+	}
+	if v, i, ok = sp.scanID(data, skipSpace(data, i)); !ok || u == v {
+		return 0, 0, 0, 0, false
+	}
+	if sp.weighted {
+		if i == len(data) || !asciiSpace[data[i]] {
+			return 0, 0, 0, 0, false
+		}
+		i = skipSpace(data, i)
+		start := i
+		for ; i < len(data) && !asciiSpace[data[i]] && data[i] != '\n'; i++ {
+			if data[i] >= 0x80 {
+				return 0, 0, 0, 0, false // maybe Unicode space: strings.Fields decides
+			}
+		}
+		w, err := strconv.ParseFloat(data[start:i], 64)
+		if err != nil || !(w > 0) || w > 1e308 {
+			return 0, 0, 0, 0, false
+		}
+		wt = w
+	}
+	if i = skipSpace(data, i); i < len(data) {
+		if data[i] != '\n' {
+			return 0, 0, 0, 0, false
+		}
+		i++
+	}
+	return u, v, wt, i, true
+}
+
+// admit counts one entry against the shard's limit, or records
+// MatrixMarket's "more than the declared nnz entries" error at it.
+func (s *shardState) admit(sp *bodySpec, limit int64) bool {
+	if s.entries == limit {
+		s.errVal = errLine("more than the declared %d entries", sp.nnz)
+		return false
+	}
+	s.entries++
+	return true
+}
+
+// add records one edge.
+func (s *shardState) add(weighted bool, u, v int32, wt float64) {
+	s.maxSeen = max(s.maxSeen, u, v)
+	if weighted {
+		s.edges = append(s.edges, [2]int32{u, v})
+		s.weights = append(s.weights, wt)
+	} else {
+		s.keys = append(s.keys, graph.PackEdge(u, v))
+	}
+}
+
 // parseShard parses the complete lines in data (the final line may
-// lack its '\n'), stopping at the first error. limit, when
-// non-negative, is the number of entries the shard may hold before the
-// next one is MatrixMarket's "more than the declared nnz entries".
+// lack its '\n'), stopping at the first error. Each line goes to
+// scanEntry first and to parseLine only when scanEntry cannot vouch for
+// it. limit, when non-negative, is the number of entries the shard may
+// hold before the next one is MatrixMarket's "more than the declared
+// nnz entries".
 func parseShard(data string, sp *bodySpec, s *shardState, limit int64) {
 	s.reset()
 	for pos := 0; pos < len(data); {
+		s.lines++
+		if u, v, wt, next, ok := sp.scanEntry(data, pos); ok {
+			if !s.admit(sp, limit) {
+				return
+			}
+			s.add(sp.weighted, u, v, wt)
+			pos = next
+			continue
+		}
 		line := data[pos:]
 		if nl := strings.IndexByte(line, '\n'); nl >= 0 {
 			line = line[:nl]
 		}
 		pos += len(line) + 1
-		s.lines++
 		lv := sp.parseLine(line)
-		if lv.kind == lineEdge || lv.counted {
-			if s.entries == limit {
-				s.errVal = errLine("more than the declared %d entries", sp.nnz)
-				return
-			}
-			s.entries++
+		if (lv.kind == lineEdge || lv.counted) && !s.admit(sp, limit) {
+			return
 		}
 		switch lv.kind {
 		case lineHeader:
 			s.headerN = lv.n
 			s.headerSet = true
 		case lineEdge:
-			s.maxSeen = max(s.maxSeen, lv.u, lv.v)
-			if sp.weighted {
-				s.edges = append(s.edges, [2]int32{lv.u, lv.v})
-				s.weights = append(s.weights, lv.wt)
-			} else {
-				s.keys = append(s.keys, graph.PackEdge(lv.u, lv.v))
-			}
+			s.add(sp.weighted, lv.u, lv.v, lv.wt)
 		case lineErr:
 			s.errVal = lv
 			return
@@ -474,6 +586,11 @@ type fastReader struct {
 	lineBase int
 	entries  int64
 
+	// size is the stream's length in bytes when known (an uncompressed
+	// file), else 0; read counts the bytes of the windows so far.
+	size int64
+	read int64
+
 	keys    []uint64
 	edges   [][2]int32
 	weights []float64
@@ -481,16 +598,17 @@ type fastReader struct {
 	shards []shardState
 }
 
-func newFastReader(spec bodySpec, workers, maxLine int) *fastReader {
-	return &fastReader{spec: spec, workers: workers, maxLine: maxLine, n: -1, maxSeen: -1}
+func newFastReader(spec bodySpec, workers, maxLine int, size int64) *fastReader {
+	return &fastReader{spec: spec, workers: workers, maxLine: maxLine, n: -1, maxSeen: -1, size: size}
 }
 
 // run consumes r entirely, returning the first error exactly as the
 // scanner-based reader would.
 func (fr *fastReader) run(r io.Reader) error {
-	w := &windower{r: r, maxLine: fr.maxLine}
+	w := &windower{r: r, maxLine: fr.maxLine, size: fr.size}
 	for {
 		data, tooLong, final := w.next()
+		fr.read += int64(len(data))
 		if err := fr.window(string(data)); err != nil {
 			return err
 		}
@@ -565,6 +683,7 @@ func (fr *fastReader) body(data string) error {
 		lines += s.lines
 		entries += s.entries
 	}
+	fr.reserve(int(entries - fr.entries))
 	fr.lineBase, fr.entries = lines, entries
 	for i := 0; i < nShards; i++ {
 		s := &fr.shards[i]
@@ -580,6 +699,36 @@ func (fr *fastReader) body(data string) error {
 		}
 	}
 	return nil
+}
+
+// reserve makes room for add more merged entries. Without a known
+// stream length, append grows the slices as before. With one, a merge
+// that outgrows them sizes them for the entries the windows so far
+// predict: those entries scaled by the bytes left, plus 1/32 of slack,
+// so a file's edges are allocated once instead of regrown window by
+// window. The prediction rests on bytes read, never on a count the
+// input declares; an entry line takes at least three bytes, so it stays
+// below a third of the length. A prediction the merge has already
+// passed leaves the growth to append.
+func (fr *fastReader) reserve(add int) {
+	have, room := len(fr.keys), cap(fr.keys)
+	if fr.spec.weighted {
+		have, room = len(fr.edges), cap(fr.edges)
+	}
+	if fr.size <= 0 || have+add <= room {
+		return
+	}
+	entries := float64(have + add)
+	want := int(entries*float64(fr.size)/float64(fr.read) + entries/32)
+	if want <= have+add {
+		return
+	}
+	if fr.spec.weighted {
+		fr.edges = slices.Grow(fr.edges, want-have)
+		fr.weights = slices.Grow(fr.weights, want-have)
+	} else {
+		fr.keys = slices.Grow(fr.keys, want-have)
+	}
 }
 
 // finishN resolves the final vertex count and the out-of-range check
@@ -609,12 +758,12 @@ func (fr *fastReader) assemble(n int) (*Data, error) {
 
 // readNativeFast is the chunk-parallel reader of the edge list and, when
 // weighted, the weighted edge list.
-func readNativeFast(r io.Reader, weighted bool, workers int) (*Data, error) {
+func readNativeFast(r io.Reader, weighted bool, workers int, size int64) (*Data, error) {
 	f, lineCap := FormatEdgeList, elMaxLine
 	if weighted {
 		f, lineCap = FormatWeightedEdgeList, maxLine
 	}
-	fr := newFastReader(bodySpec{format: f, weighted: weighted, comment: '#', bound: MaxVertices, nnz: -1}, workers, lineCap)
+	fr := newFastReader(bodySpec{format: f, weighted: weighted, comment: '#', bound: MaxVertices, nnz: -1}, workers, lineCap, size)
 	if err := fr.run(r); err != nil {
 		return nil, err
 	}
@@ -627,8 +776,8 @@ func readNativeFast(r io.Reader, weighted bool, workers int) (*Data, error) {
 
 // readDIMACSFast is the chunk-parallel DIMACS reader behind
 // Read(FormatDIMACS). Lines up to the problem line are the prelude.
-func readDIMACSFast(r io.Reader, workers int) (*Data, error) {
-	fr := newFastReader(bodySpec{format: FormatDIMACS, comment: 'c', base: 1, nnz: -1}, workers, maxLine)
+func readDIMACSFast(r io.Reader, workers int, size int64) (*Data, error) {
+	fr := newFastReader(bodySpec{format: FormatDIMACS, comment: 'c', base: 1, nnz: -1}, workers, maxLine, size)
 	declared := int64(-1)
 	fr.prelude = func(raw string, lineNo int) (bool, error) {
 		line := strings.TrimSpace(raw)
@@ -657,8 +806,8 @@ func readDIMACSFast(r io.Reader, workers int) (*Data, error) {
 // readMatrixMarketFast is the chunk-parallel MatrixMarket reader behind
 // Read(FormatMatrixMarket). The banner and the size line are the
 // prelude.
-func readMatrixMarketFast(r io.Reader, workers int) (*Data, error) {
-	fr := newFastReader(bodySpec{format: FormatMatrixMarket, comment: '%', base: 1, nnz: -1}, workers, maxLine)
+func readMatrixMarketFast(r io.Reader, workers int, size int64) (*Data, error) {
+	fr := newFastReader(bodySpec{format: FormatMatrixMarket, comment: '%', base: 1, nnz: -1}, workers, maxLine, size)
 	fr.prelude = func(raw string, lineNo int) (bool, error) {
 		if lineNo == 1 {
 			// The banner error quotes the line as bufio.ScanLines

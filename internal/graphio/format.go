@@ -148,15 +148,22 @@ func FromWeighted(wg *graph.Weighted) *Data { return &Data{G: wg.Graph, WG: wg} 
 // Read parses one graph in the given format from an uncompressed
 // stream. Use ReadFile for path-based access with gzip auto-detection.
 func Read(r io.Reader, f Format) (*Data, error) {
+	return readSized(r, f, 0)
+}
+
+// readSized is Read of a stream of size bytes, 0 when unknown. The
+// line-format readers size their edge slices from it (see
+// fastReader.reserve); a wrong size costs capacity only.
+func readSized(r io.Reader, f Format, size int64) (*Data, error) {
 	switch f {
 	case FormatEdgeList, FormatWeightedEdgeList:
-		return readNativeFast(r, f == FormatWeightedEdgeList, 0)
+		return readNativeFast(r, f == FormatWeightedEdgeList, 0, size)
 	case FormatDIMACS:
-		return readDIMACSFast(r, 0)
+		return readDIMACSFast(r, 0, size)
 	case FormatMETIS:
 		return readMETIS(r)
 	case FormatMatrixMarket:
-		return readMatrixMarketFast(r, 0)
+		return readMatrixMarketFast(r, 0, size)
 	default:
 		return nil, fmt.Errorf("graphio: cannot read format %q", f)
 	}
@@ -235,19 +242,27 @@ func ReadFileFormat(path string, f Format) (*Data, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A regular file read as it is stores its length; a gzip stream's
+	// length is not the text's.
+	var size int64
+	if fi, err := file.Stat(); err == nil && fi.Mode().IsRegular() {
+		if _, gz := r.(*gzip.Reader); !gz {
+			size = fi.Size()
+		}
+	}
 	if f == FormatUnknown {
 		f = DetectFormat(path)
 	}
 	if f == FormatUnknown {
-		return readSniffed(r)
+		return readSniffed(r, size)
 	}
-	return Read(r, f)
+	return readSized(r, f, size)
 }
 
 // readSniffed peeks at the first non-empty line to distinguish a
 // MatrixMarket banner or a DIMACS problem line, and otherwise falls back
 // to the native edge-list dialect.
-func readSniffed(r io.Reader) (*Data, error) {
+func readSniffed(r io.Reader, size int64) (*Data, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(1 << 12)
 	if err != nil && err != io.EOF {
@@ -256,11 +271,11 @@ func readSniffed(r io.Reader) (*Data, error) {
 	text := string(head)
 	switch {
 	case strings.HasPrefix(text, "%%MatrixMarket"):
-		return Read(br, FormatMatrixMarket)
+		return readSized(br, FormatMatrixMarket, size)
 	case sniffDIMACS(text):
-		return Read(br, FormatDIMACS)
+		return readSized(br, FormatDIMACS, size)
 	default:
-		return Read(br, FormatEdgeList)
+		return readSized(br, FormatEdgeList, size)
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // chunk-parallel fast path (see fastread.go); readEdgeListScanner is
 // the line-by-line reference implementation it is pinned against.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
-	d, err := readNativeFast(r, false, 0)
+	d, err := readNativeFast(r, false, 0, 0)
 	if err != nil {
 		return nil, err
 	}

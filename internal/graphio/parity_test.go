@@ -61,17 +61,18 @@ func readReference(r io.Reader, f Format) (*Data, error) {
 	panic(fmt.Sprintf("no reference reader for %v", f))
 }
 
-// readFast parses r with the chunk-parallel reader of f.
-func readFast(r io.Reader, f Format, workers int) (*Data, error) {
+// readFast parses r with the chunk-parallel reader of f, told that the
+// stream is size bytes long (0: unknown).
+func readFast(r io.Reader, f Format, workers int, size int64) (*Data, error) {
 	switch f {
 	case FormatEdgeList:
-		return readNativeFast(r, false, workers)
+		return readNativeFast(r, false, workers, size)
 	case FormatWeightedEdgeList:
-		return readNativeFast(r, true, workers)
+		return readNativeFast(r, true, workers, size)
 	case FormatDIMACS:
-		return readDIMACSFast(r, workers)
+		return readDIMACSFast(r, workers, size)
 	case FormatMatrixMarket:
-		return readMatrixMarketFast(r, workers)
+		return readMatrixMarketFast(r, workers, size)
 	}
 	panic(fmt.Sprintf("no fast reader for %v", f))
 }
@@ -81,34 +82,53 @@ func readFast(r io.Reader, f Format, workers int) (*Data, error) {
 // count, demanding identical outcomes. It returns the scanner outcome.
 func readBothFrom(t *testing.T, open func() io.Reader, f Format, workers ...int) (*Data, error) {
 	t.Helper()
+	return readBothSized(t, open, f, []int64{0}, workers...)
+}
+
+// readBothSized is readBothFrom with the fast reader told each of
+// sizes as the stream's length.
+func readBothSized(t *testing.T, open func() io.Reader, f Format, sizes []int64, workers ...int) (*Data, error) {
+	t.Helper()
 	refD, refErr := readReference(open(), f)
 	for _, w := range workers {
-		fastD, fastErr := readFast(open(), f, w)
-		switch {
-		case (refErr == nil) != (fastErr == nil):
-			t.Fatalf("%v, workers=%d: scanner err %v, fast err %v", f, w, refErr, fastErr)
-		case refErr != nil:
-			if refErr.Error() != fastErr.Error() {
-				t.Fatalf("%v, workers=%d: error mismatch:\nscanner: %s\nfast:    %s", f, w, refErr, fastErr)
-			}
-			// Equal text is not enough: a wrapped cause (an I/O error or
-			// bufio.ErrTooLong) must stay visible to errors.Is.
-			if cause := errors.Unwrap(refErr); (cause == nil) != (errors.Unwrap(fastErr) == nil) || (cause != nil && !errors.Is(fastErr, cause)) {
-				t.Fatalf("%v, workers=%d: scanner wraps %v, fast wraps %v", f, w, cause, errors.Unwrap(fastErr))
-			}
-		default:
-			if want, got := renderGraphEL(t, refD), renderGraphEL(t, fastD); want != got {
-				t.Fatalf("%v, workers=%d: graph mismatch:\nscanner:\n%s\nfast:\n%s", f, w, want, got)
-			}
+		for _, size := range sizes {
+			fastD, fastErr := readFast(open(), f, w, size)
+			matchReference(t, f, fmt.Sprintf("workers=%d, size=%d", w, size), refD, refErr, fastD, fastErr)
 		}
 	}
 	return refD, refErr
 }
 
-// readBoth is readBothFrom on an in-memory input.
+// matchReference fails t unless the fast outcome equals the reference
+// one: the same graph, or the same error text wrapping the same cause.
+func matchReference(t *testing.T, f Format, run string, refD *Data, refErr error, fastD *Data, fastErr error) {
+	t.Helper()
+	switch {
+	case (refErr == nil) != (fastErr == nil):
+		t.Fatalf("%v, %s: scanner err %v, fast err %v", f, run, refErr, fastErr)
+	case refErr != nil:
+		if refErr.Error() != fastErr.Error() {
+			t.Fatalf("%v, %s: error mismatch:\nscanner: %s\nfast:    %s", f, run, refErr, fastErr)
+		}
+		// Equal text is not enough: a wrapped cause (an I/O error or
+		// bufio.ErrTooLong) must stay visible to errors.Is.
+		if cause := errors.Unwrap(refErr); (cause == nil) != (errors.Unwrap(fastErr) == nil) || (cause != nil && !errors.Is(fastErr, cause)) {
+			t.Fatalf("%v, %s: scanner wraps %v, fast wraps %v", f, run, cause, errors.Unwrap(fastErr))
+		}
+	default:
+		if want, got := renderGraphEL(t, refD), renderGraphEL(t, fastD); want != got {
+			t.Fatalf("%v, %s: graph mismatch:\nscanner:\n%s\nfast:\n%s", f, run, want, got)
+		}
+	}
+}
+
+// readBoth is readBothFrom on an in-memory input, which the fast reader
+// also reads told its exact length, half of it and double it: a stated
+// length may change capacity only, never a result or an error text.
 func readBoth(t *testing.T, input string, f Format, workers ...int) (*Data, error) {
 	t.Helper()
-	return readBothFrom(t, func() io.Reader { return strings.NewReader(input) }, f, workers...)
+	n := int64(len(input))
+	return readBothSized(t, func() io.Reader { return strings.NewReader(input) }, f, []int64{0, n, n / 2, 2 * n}, workers...)
 }
 
 // parityInputs is the adversarial corpus. Every ParseInt/ParseFloat
@@ -814,7 +834,7 @@ func TestReaderParityIOError(t *testing.T) {
 				t.Fatalf("scanner: wantIOErr=%v, got %v", tc.wantIOErr, err)
 			}
 			for _, w := range []int{1, 4} {
-				if _, err := readFast(open(), tc.format, w); tc.wantIOErr != errors.Is(err, boom) {
+				if _, err := readFast(open(), tc.format, w, 0); tc.wantIOErr != errors.Is(err, boom) {
 					t.Fatalf("workers=%d: wantIOErr=%v, got %v", w, tc.wantIOErr, err)
 				}
 			}
