@@ -217,7 +217,10 @@ func FuzzReadMETIS(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzFormat(t, data, FormatMETIS) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzParity(t, data, FormatMETIS)
+		fuzzFormat(t, data, FormatMETIS)
+	})
 }
 
 // FuzzReadMatrixMarket exercises the MatrixMarket coordinate reader.

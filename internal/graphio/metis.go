@@ -27,7 +27,105 @@ import (
 // adjacency entries must be 2m and the two mentions of an edge must
 // agree on the weight. See docs/formats.md.
 
+// readMETIS is the METIS reader behind Read(FormatMETIS). It reads each
+// vertex line in one pass over its bytes (metisLines.scan) and hands a
+// line that pass cannot vouch for to the reference reader's loop body.
 func readMETIS(r io.Reader) (*Data, error) {
+	return readMETISLines(r, true)
+}
+
+// readMETISScanner is the reference reader: every vertex line goes
+// through bufio.Scanner text, strings.Fields and strconv. readMETIS is
+// pinned against it by the parity and fuzz suites.
+func readMETISScanner(r io.Reader) (*Data, error) {
+	return readMETISLines(r, false)
+}
+
+// metisLines collects the entries of the vertex lines.
+type metisLines struct {
+	n        int
+	weighted bool
+	edges    [][2]int32
+	weights  []float64
+	b        *graph.Builder
+	entries  int64
+	// The entries of the line being scanned, kept until it passes.
+	ts []int32
+	ws []float64
+}
+
+// add records the entry u–t of weight wt.
+func (ml *metisLines) add(u, t int32, wt float64) {
+	ml.entries++
+	if ml.weighted {
+		ml.edges = append(ml.edges, [2]int32{u, t})
+		ml.weights = append(ml.weights, wt)
+	} else {
+		ml.b.AddEdge(u, t) // both mentions collapse at Build
+	}
+}
+
+// scan reads the vertex line of u when it is well formed: ids of 1 to
+// 18 digits, each followed in the weighted form by a weight, separated
+// and surrounded by ASCII space. Each id passes the base, bound and
+// self-loop checks of the reference and each weight its ParseFloat
+// test. The line's entries are added only once all of it has passed;
+// otherwise scan adds nothing and reports false, and the caller parses
+// the line as the reference does, which also makes its error.
+func (ml *metisLines) scan(line []byte, u int32) bool {
+	ml.ts, ml.ws = ml.ts[:0], ml.ws[:0]
+	for i := 0; ; {
+		for i < len(line) && asciiSpace[line[i]] {
+			i++
+		}
+		if i == len(line) {
+			break
+		}
+		start := i
+		var x uint64
+		for ; i < len(line); i++ {
+			d := uint64(line[i] - '0')
+			if d > 9 {
+				break
+			}
+			x = x*10 + d
+		}
+		if k := i - start; k == 0 || k > 18 || x < 1 || x > uint64(ml.n) || int32(x-1) == u ||
+			(i < len(line) && !asciiSpace[line[i]]) {
+			return false
+		}
+		ml.ts = append(ml.ts, int32(x-1))
+		if !ml.weighted {
+			continue
+		}
+		for i < len(line) && asciiSpace[line[i]] {
+			i++
+		}
+		start = i
+		for ; i < len(line) && !asciiSpace[line[i]]; i++ {
+			if line[i] >= 0x80 {
+				return false // maybe Unicode space: strings.Fields decides
+			}
+		}
+		w, err := strconv.ParseFloat(string(line[start:i]), 64)
+		if err != nil || !(w > 0) || w > 1e308 {
+			return false
+		}
+		ml.ws = append(ml.ws, w)
+	}
+	for k, t := range ml.ts {
+		var wt float64
+		if ml.weighted {
+			wt = ml.ws[k]
+		}
+		ml.add(u, t, wt)
+	}
+	return true
+}
+
+// readMETISLines reads a METIS file, trying scan on each vertex line
+// first when fast is set.
+func readMETISLines(r io.Reader, fast bool) (*Data, error) {
 	sc := newScanner(r)
 	lineNo := 0
 	// Header: the first non-comment line. Comments are only skipped
@@ -75,14 +173,9 @@ func readMETIS(r io.Reader) (*Data, error) {
 		}
 	}
 
-	var (
-		edges   [][2]int32
-		weights []float64
-		b       *graph.Builder
-		entries int64
-	)
+	ml := &metisLines{n: n, weighted: weighted}
 	if !weighted {
-		b = graph.NewBuilder(n)
+		ml.b = graph.NewBuilder(n)
 	}
 	for v := 0; v < n; {
 		if !sc.Scan() {
@@ -92,11 +185,15 @@ func readMETIS(r io.Reader) (*Data, error) {
 			return nil, fmt.Errorf("graphio: METIS file ends after %d of %d vertex lines", v, n)
 		}
 		lineNo++
+		u := int32(v)
+		if fast && ml.scan(sc.Bytes(), u) {
+			v++
+			continue
+		}
 		line := sc.Text()
 		if strings.HasPrefix(strings.TrimSpace(line), "%") {
 			continue
 		}
-		u := int32(v)
 		fields := strings.Fields(line)
 		if weighted && len(fields)%2 != 0 {
 			return nil, fmt.Errorf("graphio: line %d: odd token count %d on weighted METIS vertex line", lineNo, len(fields))
@@ -113,17 +210,13 @@ func readMETIS(r io.Reader) (*Data, error) {
 			if t == u {
 				return nil, fmt.Errorf("graphio: line %d: self-loop at %d", lineNo, u+1)
 			}
-			entries++
+			var wt float64
 			if weighted {
-				wt, err := parseWeight(fields[i+1], lineNo)
-				if err != nil {
+				if wt, err = parseWeight(fields[i+1], lineNo); err != nil {
 					return nil, err
 				}
-				edges = append(edges, [2]int32{u, t})
-				weights = append(weights, wt)
-			} else {
-				b.AddEdge(u, t) // both mentions collapse at Build
 			}
+			ml.add(u, t, wt)
 		}
 		v++
 	}
@@ -138,13 +231,13 @@ func readMETIS(r io.Reader) (*Data, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
-	if entries != 2*m64 {
-		return nil, fmt.Errorf("graphio: %d adjacency entries but METIS header declared m=%d (want %d entries)", entries, m64, 2*m64)
+	if ml.entries != 2*m64 {
+		return nil, fmt.Errorf("graphio: %d adjacency entries but METIS header declared m=%d (want %d entries)", ml.entries, m64, 2*m64)
 	}
 	if weighted {
-		return assembleWeighted(n, edges, weights)
+		return assembleWeighted(n, ml.edges, ml.weights)
 	}
-	g, err := b.Build()
+	g, err := ml.b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}

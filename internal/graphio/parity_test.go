@@ -57,12 +57,15 @@ func readReference(r io.Reader, f Format) (*Data, error) {
 		return readDIMACSScanner(r)
 	case FormatMatrixMarket:
 		return readMatrixMarketScanner(r)
+	case FormatMETIS:
+		return readMETISScanner(r)
 	}
 	panic(fmt.Sprintf("no reference reader for %v", f))
 }
 
 // readFast parses r with the chunk-parallel reader of f, told that the
-// stream is size bytes long (0: unknown).
+// stream is size bytes long (0: unknown). The METIS reader, which is
+// sequential and never sized, ignores both.
 func readFast(r io.Reader, f Format, workers int, size int64) (*Data, error) {
 	switch f {
 	case FormatEdgeList:
@@ -73,6 +76,8 @@ func readFast(r io.Reader, f Format, workers int, size int64) (*Data, error) {
 		return readDIMACSFast(r, workers, size)
 	case FormatMatrixMarket:
 		return readMatrixMarketFast(r, workers, size)
+	case FormatMETIS:
+		return readMETIS(r)
 	}
 	panic(fmt.Sprintf("no fast reader for %v", f))
 }
@@ -320,6 +325,50 @@ func mmInputs() map[string]string {
 	}
 }
 
+// metisInputs is the METIS corpus around the byte scan of vertex lines:
+// digit counts, signs, every ASCII space byte, comments and blank lines
+// between vertex lines, ids at the bound, self-loops, Unicode space and
+// high bytes, and in the weighted form odd token counts and the weights
+// ParseFloat treats specially.
+func metisInputs() map[string]string {
+	rows := map[string]string{
+		"plain":             "3 2\n2 3\n1\n1\n",
+		"weighted":          "3 2 001\n2 1.5 3 2\n1 1.5\n1 2\n",
+		"blank-vertex":      "4 2\n\n3\n2\n\n",
+		"spaces":            "3 2\n \t2\v3\f \n1\r\n\t1\n",
+		"crlf":              "3 2\r\n2 3\r\n1\r\n1\r\n",
+		"cr-between":        "3 2\n2\r3\n1\n1\n",
+		"comment-between":   "3 2\n2 3\n% c\n  % d\n1\n1\n",
+		"id-18-digits":      "3 2\n000000000000000002 3\n1\n1\n",
+		"id-19-digits":      "3 2\n0000000000000000002 3\n1\n1\n",
+		"id-19-digits-over": "3 2\n9999999999999999999 3\n1\n1\n",
+		"plus":              "3 2\n+2 3\n1\n1\n",
+		"minus-zero":        "3 2\n-0 3\n1\n1\n",
+		"leading-zeros":     "3 2\n002 3\n1\n1\n",
+		"zero-id":           "3 2\n0 3\n1\n1\n",
+		"id-at-bound":       "3 2\n2 4\n1\n1\n",
+		"id-below-bound":    "3 1\n3\n\n1\n",
+		"self-loop":         "3 2\n1 3\n1\n1\n",
+		"trailing-junk":     "3 2\n2 3x\n1\n1\n",
+		"nbsp":              "3 2\n2\u00a03\n1\n1\n",
+		"nbsp-blank":        "3 1\n2\n1\n\u00a0\n",
+		"high-byte":         "3 2\n2 \xff\n1\n1\n",
+		"no-final-newline":  "3 2\n2 3\n1\n1",
+		"entry-count":       "3 1\n2 3\n1\n1\n",
+		"short":             "3 2\n2 3\n1\n",
+		"content-after":     "2 1\n2\n1\n3\n",
+		"weight-odd":        "3 2 001\n2 1.5 3\n1 1.5\n1 2\n",
+		"weight-conflict":   "2 1 001\n2 1.5\n1 2.5\n",
+		"weight-nbsp":       "2 1 001\n2 1.5\u00a0\n1 1.5\n",
+		"weight-long":       "2 1 001\n2 1.000000000000000000000000000000000000001\n1 1\n",
+		"weight-glued":      "2 1 001\n2 1.5x\n1 1.5\n",
+	}
+	for _, w := range []string{"1e308", "1e309", "NaN", "+Inf", "0x1p-2", ".5", "5.", "-0", "0"} {
+		rows["weight-"+w] = "2 1 001\n2 " + w + "\n1 " + w + "\n"
+	}
+	return rows
+}
+
 // boundaryFormats are the line formats boundaryInputs renders, named
 // for their subtests; MatrixMarket comes as a pattern and a real file.
 var boundaryFormats = []struct {
@@ -467,6 +516,7 @@ func TestReaderParityTable(t *testing.T) {
 		{"wel", FormatWeightedEdgeList, welOnlyInputs()},
 		{"dimacs", FormatDIMACS, dimacsInputs()},
 		{"mm", FormatMatrixMarket, mmInputs()},
+		{"metis", FormatMETIS, metisInputs()},
 	}
 	for _, b := range boundaryFormats {
 		corpora = append(corpora, struct {
