@@ -141,6 +141,7 @@ examples-smoke:
 # of the daemon's job and batch request decoders (each fuzzer also runs
 # its corpus as ordinary seed tests in `race`).
 fuzz-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzReadEdgeList -fuzztime=3s ./internal/graphio/
 	$(GO) test -run=NONE -fuzz=FuzzReadWEL -fuzztime=3s ./internal/graphio/
 	$(GO) test -run=NONE -fuzz=FuzzReadDIMACS -fuzztime=3s ./internal/graphio/
 	$(GO) test -run=NONE -fuzz=FuzzReadMETIS -fuzztime=3s ./internal/graphio/

@@ -304,9 +304,9 @@ func (j *Job) view() *JobView {
 		TraceLen:   len(j.trace),
 		Timings:    j.timings.view(),
 	}
-	if j.report != nil {
-		v.Report = registry.NewReportView(j.report, j.n, j.m)
-		v.Report.SolutionHash = fmt.Sprintf("%016x", registry.SolutionHash(j.report))
+	if j.res != nil {
+		v.Report = registry.NewReportView(j.res.rep, j.n, j.m)
+		v.Report.SolutionHash = j.res.hash
 	}
 	return v
 }

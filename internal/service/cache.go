@@ -2,9 +2,11 @@ package service
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"mpcgraph"
+	"mpcgraph/internal/registry"
 )
 
 // lru is a bounded least-recently-used map from string keys to
@@ -118,6 +120,19 @@ const (
 	TierNone CacheTier = "none"
 )
 
+// result is a Report as jobs settle with it: together with its
+// solution hash, computed once where the Report enters the memory tier
+// (a cold solve or a disk promotion), so that a job view, which every
+// submit response, GET and list entry renders, only copies it.
+type result struct {
+	rep  *mpcgraph.Report
+	hash string // registry.SolutionHash as the wire prints it
+}
+
+func newResult(rep *mpcgraph.Report) *result {
+	return &result{rep: rep, hash: fmt.Sprintf("%016x", registry.SolutionHash(rep))}
+}
+
 // tieredCache layers the in-memory LRU (L1) over the persistent disk
 // store (L2, optional). Both tiers are content-addressed by the same
 // cache key (see CacheKey) and hold bit-identical Reports — L1 trades
@@ -125,14 +140,14 @@ const (
 // from either tier with full fidelity. Disk hits are promoted into
 // memory; puts write through to both tiers.
 type tieredCache struct {
-	mem  *lru[*mpcgraph.Report]
+	mem  *lru[*result]
 	disk *diskStore // nil when the persistent tier is disabled
 }
 
-// Get returns the cached Report for key and the tier that served it.
+// Get returns the cached result for key and the tier that served it.
 // It may perform disk I/O on an L1 miss; callers on a lock-sensitive
 // path should probe memGet under their lock and diskGet outside it.
-func (c *tieredCache) Get(key string) (*mpcgraph.Report, CacheTier, bool) {
+func (c *tieredCache) Get(key string) (*result, CacheTier, bool) {
 	if rep, ok := c.memGet(key); ok {
 		return rep, TierMemory, true
 	}
@@ -144,14 +159,14 @@ func (c *tieredCache) Get(key string) (*mpcgraph.Report, CacheTier, bool) {
 
 // memGet probes only the in-memory tier. It never touches the disk, so
 // it is safe to call while holding Server.mu.
-func (c *tieredCache) memGet(key string) (*mpcgraph.Report, bool) {
+func (c *tieredCache) memGet(key string) (*result, bool) {
 	return c.mem.Get(key)
 }
 
 // diskGet probes the persistent tier, promoting a hit into memory for
 // the next identical submission. It reads the disk — never call it
 // while holding Server.mu.
-func (c *tieredCache) diskGet(key string) (*mpcgraph.Report, bool) {
+func (c *tieredCache) diskGet(key string) (*result, bool) {
 	if c.disk == nil {
 		return nil, false
 	}
@@ -159,14 +174,15 @@ func (c *tieredCache) diskGet(key string) (*mpcgraph.Report, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.mem.Put(key, rep)
-	return rep, true
+	res := newResult(rep)
+	c.mem.Put(key, res)
+	return res, true
 }
 
-// Put stores rep in both tiers.
-func (c *tieredCache) Put(key string, rep *mpcgraph.Report) {
-	c.mem.Put(key, rep)
+// Put stores res in both tiers.
+func (c *tieredCache) Put(key string, res *result) {
+	c.mem.Put(key, res)
 	if c.disk != nil {
-		c.disk.Put(key, rep)
+		c.disk.Put(key, res.rep)
 	}
 }

@@ -2,9 +2,11 @@ package service
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mpcgraph"
+	"mpcgraph/internal/raceflag"
 )
 
 func dummyReport(i int) *mpcgraph.Report {
@@ -72,5 +74,42 @@ func TestResultCacheBounded(t *testing.T) {
 	}
 	if st.Evictions != 92 {
 		t.Errorf("evictions %d, want 92", st.Evictions)
+	}
+}
+
+// TestJobViewCostDoesNotGrowWithN holds the view of a settled matching
+// job to allocations that do not grow with n, in count or in bytes: the
+// solution hash is computed once, when the result enters the memory
+// tier, so a view formats no payload (hashing a matching used to copy
+// its edge list on every view).
+func TestJobViewCostDoesNotGrowWithN(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race runtime")
+	}
+	s, ts := newTestServer(t, Config{})
+	cost := func(n int) (allocs, bytes float64) {
+		v := submitWait(t, ts.URL, &JobRequest{Problem: "maximal-matching", Scenario: &ScenarioRequest{Name: "gnp", N: n, Seed: 1}})
+		if v.State != StateDone || v.Report == nil || v.Report.SolutionHash == "" {
+			t.Fatalf("n=%d: job %s settled %s without a hashed report", n, v.ID, v.State)
+		}
+		j, ok := s.lookup(v.ID)
+		if !ok {
+			t.Fatalf("job %s not retained", v.ID)
+		}
+		const runs = 50
+		allocs = testing.AllocsPerRun(runs, func() { _ = j.view() })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_ = j.view()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := cost(256)
+	largeAllocs, largeBytes := cost(8192)
+	if largeAllocs > smallAllocs || largeBytes > smallBytes+256 {
+		t.Fatalf("view of a settled matching: %.0f allocs, %.0f B at n=256; %.0f allocs, %.0f B at n=8192",
+			smallAllocs, smallBytes, largeAllocs, largeBytes)
 	}
 }

@@ -159,16 +159,16 @@ func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.mu.Lock()
-	rep := job.report
+	res := job.res
 	job.mu.Unlock()
-	if rep == nil {
+	if res == nil {
 		writeError(w, 409, fmt.Errorf("service: job %s has no result (state %s)", job.ID, job.view().State))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	// The status line is already on the wire; a write failure means the
 	// client went away, and there is no second response to send.
-	_ = registry.RenderSolution(w, rep)
+	_ = registry.RenderSolution(w, res.rep)
 }
 
 // traceEventView is the wire shape of one streamed TraceEvent.

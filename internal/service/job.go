@@ -83,7 +83,7 @@ type Job struct {
 	mu        sync.Mutex
 	state     JobState
 	err       string
-	report    *mpcgraph.Report
+	res       *result // set once the job is done
 	cacheHit  bool
 	cacheTier CacheTier
 	timings   jobTimings
@@ -240,7 +240,7 @@ func (j *Job) appendTrace(ev mpcgraph.TraceEvent) {
 // completeCached finishes a job from a cache hit: at submission time
 // (L1) or after the unlocked disk probe (L2, where the job is briefly
 // visible and cancellable, so riders already terminal stay terminal).
-func (j *Job) completeCached(rep *mpcgraph.Report, tier CacheTier) {
+func (j *Job) completeCached(res *result, tier CacheTier) {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued, StateRunning:
@@ -249,7 +249,7 @@ func (j *Job) completeCached(rep *mpcgraph.Report, tier CacheTier) {
 		return
 	}
 	j.state = StateDone
-	j.report = rep
+	j.res = res
 	j.cacheHit = true
 	j.cacheTier = tier
 	j.timings.settled = time.Now()
@@ -272,9 +272,9 @@ func (j *Job) markRunning() {
 	j.signalLocked()
 }
 
-// complete finishes a rider with the flight's Report. Riders that
+// complete finishes a rider with the flight's result. Riders that
 // canceled while the computation ran stay canceled.
-func (j *Job) complete(rep *mpcgraph.Report) {
+func (j *Job) complete(res *result) {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued, StateRunning:
@@ -283,7 +283,7 @@ func (j *Job) complete(rep *mpcgraph.Report) {
 		return
 	}
 	j.state = StateDone
-	j.report = rep
+	j.res = res
 	j.timings.settled = time.Now()
 	j.stopDeadlineLocked()
 	j.signalLocked()
@@ -454,12 +454,13 @@ func (j *Job) run(s *Server) {
 		// a client saw completion can always be recovered from disk.
 		// Even a noCache leader stores its result: the flag skips the
 		// lookup (forcing the cold recompute), not the refresh.
-		s.cache.Put(j.cacheKey, rep)
+		res := newResult(rep)
+		s.cache.Put(j.cacheKey, res)
 		persistedAt := time.Now()
 		j.lg.Debug(context.Background(), "job.persisted")
 		for _, r := range s.dropFlight(f) {
 			r.markPersisted(persistedAt)
-			r.complete(rep)
+			r.complete(res)
 		}
 	case f.ctx.Err() != nil:
 		// Aborted between metered rounds: every rider already canceled
@@ -531,10 +532,10 @@ func (s *Server) place(job *Job) (*flight, placement) {
 		// Only the in-memory tier is probed under s.mu: a disk probe here
 		// would stall every endpoint that takes s.mu behind one file read.
 		probeStart := time.Now()
-		rep, ok := s.cache.memGet(job.cacheKey)
+		res, ok := s.cache.memGet(job.cacheKey)
 		job.stampProbe(TierMemory, time.Since(probeStart))
 		if ok {
-			job.completeCached(rep, TierMemory)
+			job.completeCached(res, TierMemory)
 			s.mu.Unlock()
 			return nil, placedMemory
 		}
@@ -574,13 +575,13 @@ func (s *Server) place(job *Job) (*flight, placement) {
 
 	if !job.noCache {
 		probeStart := time.Now()
-		rep, ok := s.cache.diskGet(job.cacheKey)
+		res, ok := s.cache.diskGet(job.cacheKey)
 		job.stampProbe(TierDisk, time.Since(probeStart))
 		if ok {
 			// Recovered from the persistent tier: complete every rider
 			// (followers may have attached during the probe) as a disk hit.
 			for _, r := range s.dropFlight(f) {
-				r.completeCached(rep, TierDisk)
+				r.completeCached(res, TierDisk)
 			}
 			return f, placedDisk
 		}

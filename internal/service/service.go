@@ -208,7 +208,7 @@ func build(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:     cfg,
-		cache:   &tieredCache{mem: newLRU[*mpcgraph.Report](cfg.CacheEntries), disk: disk},
+		cache:   &tieredCache{mem: newLRU[*result](cfg.CacheEntries), disk: disk},
 		memo:    newLRU[instanceInfo](cfg.CacheEntries),
 		fp:      fp,
 		tel:     tel,

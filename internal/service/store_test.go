@@ -294,8 +294,8 @@ func TestTieredCacheRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &tieredCache{mem: newLRU[*mpcgraph.Report](2), disk: disk}
-	rep := solveReport(t, mpcgraph.ProblemMIS, 120, 1)
+	c := &tieredCache{mem: newLRU[*result](2), disk: disk}
+	res := newResult(solveReport(t, mpcgraph.ProblemMIS, 120, 1))
 	keys := make([]string, 8)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("%064x", i)
@@ -309,9 +309,9 @@ func TestTieredCacheRace(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				key := keys[(g+i)%len(keys)]
 				if i%3 == 0 {
-					c.Put(key, rep)
+					c.Put(key, res)
 				}
-				if got, _, ok := c.Get(key); ok && got == nil {
+				if got, _, ok := c.Get(key); ok && (got == nil || got.rep == nil) {
 					t.Error("hit returned nil report")
 				}
 			}
@@ -324,7 +324,7 @@ func TestTieredCacheRace(t *testing.T) {
 	}
 	for _, key := range keys {
 		if got, _, ok := c.Get(key); ok {
-			if !bytes.Equal(encodeReport(got), encodeReport(rep)) {
+			if !bytes.Equal(encodeReport(got.rep), encodeReport(res.rep)) || got.hash != res.hash {
 				t.Errorf("entry %s not bit-identical after the race", key[:8])
 			}
 		}
