@@ -174,22 +174,10 @@ func parseUintToken(tok string) (v uint64, ok bool) {
 // parseVertexToken is parseVertex(tok, base, bound) without the error
 // construction, for a bound of at most MaxVertices: "bad vertex" for a
 // ParseInt failure or a value below base, "out of range" for an id at
-// or past bound. An unsigned token of up to 18 digits, which always
-// fits int64, takes the one-loop path.
+// or past bound.
 func parseVertexToken(tok string, base, bound int) (int32, int8) {
-	var v uint64
-	for i := 0; i < len(tok); i++ {
-		d := uint64(tok[i] - '0')
-		if d > 9 || i == 18 {
-			var ok bool
-			if v, ok = parseUintToken(tok); !ok {
-				return 0, vBad
-			}
-			break
-		}
-		v = v*10 + d
-	}
-	if v < uint64(base) {
+	v, ok := parseUintToken(tok)
+	if !ok || v < uint64(base) {
 		return 0, vBad
 	}
 	if v -= uint64(base); v >= uint64(bound) {
@@ -207,10 +195,7 @@ func parseVertexToken(tok string, base, bound int) (int32, int8) {
 // A blank line returns nt=0; a comment line (TrimSpace(line) starts
 // with the comment byte) returns nt=-1.
 func tokenizeASCII(line string, comment byte) (toks [4]string, nt int, ok bool) {
-	i := 0
-	for i < len(line) && asciiSpace[line[i]] {
-		i++
-	}
+	i := skipSpace(line, 0)
 	if i < len(line) && line[i] == comment {
 		return toks, -1, true
 	}
@@ -406,12 +391,26 @@ func (s *shardState) reset() {
 	s.errVal = lineVal{}
 }
 
-// scanID reads the unsigned id of 1 to 18 digits at data[i:], with the
-// base and bound checks of parseVertexToken, and returns it 0-based
-// with the index past its digits. ok is false for no digits, for more
-// than 18 (where a value may leave int64: parseLine decides) and for an
-// id below base or at or past base+bound.
-func (sp *bodySpec) scanID(data string, i int) (id int32, end int, ok bool) {
+// text is what the byte scans read: a window of a line format, or a
+// METIS vertex line as bufio.Scanner holds it.
+type text interface{ ~string | ~[]byte }
+
+// skipSpace returns the index of the first byte at or after i that is
+// not in asciiSpace.
+func skipSpace[T text](data T, i int) int {
+	for i < len(data) && asciiSpace[data[i]] {
+		i++
+	}
+	return i
+}
+
+// scanID reads the unsigned id of 1 to 18 digits at data[i:], which
+// must end at ASCII space, '\n' or the end of data, and returns it
+// 0-based with the index past its digits. ok is false for any other
+// token, for more than 18 digits (where a value may leave int64: the
+// reference parse decides), and, as in parseVertex, for an id below
+// base or at or past base+bound.
+func scanID[T text](data T, i, base, bound int) (id int32, end int, ok bool) {
 	start := i
 	var v uint64
 	for ; i < len(data); i++ {
@@ -421,19 +420,28 @@ func (sp *bodySpec) scanID(data string, i int) (id int32, end int, ok bool) {
 		}
 		v = v*10 + d
 	}
-	if n := i - start; n == 0 || n > 18 || v < uint64(sp.base) || v-uint64(sp.base) >= uint64(sp.bound) {
+	if n := i - start; n == 0 || n > 18 || v < uint64(base) || v-uint64(base) >= uint64(bound) ||
+		(i < len(data) && !asciiSpace[data[i]] && data[i] != '\n') {
 		return 0, i, false
 	}
-	return int32(v - uint64(sp.base)), i, true
+	return int32(v - uint64(base)), i, true
 }
 
-// skipSpace returns the index of the first byte at or after i that is
-// not in asciiSpace.
-func skipSpace(data string, i int) int {
-	for i < len(data) && asciiSpace[data[i]] {
-		i++
+// scanWeight reads the weight token at data[i:], which ends at ASCII
+// space, '\n' or the end of data, and returns it with the index past
+// it. ok is false where parseWeight fails: unless strconv.ParseFloat
+// reads a positive finite number. It is also false for a token holding
+// a byte >= 0x80, which may be Unicode space that only strings.Fields
+// splits on.
+func scanWeight[T text](data T, i int) (w float64, end int, ok bool) {
+	start := i
+	for ; i < len(data) && !asciiSpace[data[i]] && data[i] != '\n'; i++ {
+		if data[i] >= 0x80 {
+			return 0, i, false
+		}
 	}
-	return i
+	w, err := strconv.ParseFloat(string(data[start:i]), 64)
+	return w, i, err == nil && w > 0 && w <= 1e308
 }
 
 // scanEntry reads the entry line that starts at data[pos] in one pass
@@ -449,32 +457,20 @@ func (sp *bodySpec) scanEntry(data string, pos int) (u, v int32, wt float64, nex
 	i := skipSpace(data, pos)
 	if sp.format == FormatDIMACS {
 		if i+1 >= len(data) || data[i] != 'e' || !asciiSpace[data[i+1]] {
-			return
+			return 0, 0, 0, 0, false
 		}
 		i = skipSpace(data, i+1)
 	}
-	if u, i, ok = sp.scanID(data, i); !ok || i == len(data) || !asciiSpace[data[i]] {
+	if u, i, ok = scanID(data, i, sp.base, sp.bound); !ok {
 		return 0, 0, 0, 0, false
 	}
-	if v, i, ok = sp.scanID(data, skipSpace(data, i)); !ok || u == v {
+	if v, i, ok = scanID(data, skipSpace(data, i), sp.base, sp.bound); !ok || u == v {
 		return 0, 0, 0, 0, false
 	}
 	if sp.weighted {
-		if i == len(data) || !asciiSpace[data[i]] {
+		if wt, i, ok = scanWeight(data, skipSpace(data, i)); !ok {
 			return 0, 0, 0, 0, false
 		}
-		i = skipSpace(data, i)
-		start := i
-		for ; i < len(data) && !asciiSpace[data[i]] && data[i] != '\n'; i++ {
-			if data[i] >= 0x80 {
-				return 0, 0, 0, 0, false // maybe Unicode space: strings.Fields decides
-			}
-		}
-		w, err := strconv.ParseFloat(data[start:i], 64)
-		if err != nil || !(w > 0) || w > 1e308 {
-			return 0, 0, 0, 0, false
-		}
-		wt = w
 	}
 	if i = skipSpace(data, i); i < len(data) {
 		if data[i] != '\n' {

@@ -74,44 +74,19 @@ func (ml *metisLines) add(u, t int32, wt float64) {
 // the line as the reference does, which also makes its error.
 func (ml *metisLines) scan(line []byte, u int32) bool {
 	ml.ts, ml.ws = ml.ts[:0], ml.ws[:0]
-	for i := 0; ; {
-		for i < len(line) && asciiSpace[line[i]] {
-			i++
-		}
-		if i == len(line) {
-			break
-		}
-		start := i
-		var x uint64
-		for ; i < len(line); i++ {
-			d := uint64(line[i] - '0')
-			if d > 9 {
-				break
-			}
-			x = x*10 + d
-		}
-		if k := i - start; k == 0 || k > 18 || x < 1 || x > uint64(ml.n) || int32(x-1) == u ||
-			(i < len(line) && !asciiSpace[line[i]]) {
+	for i := skipSpace(line, 0); i < len(line); i = skipSpace(line, i) {
+		t, end, ok := scanID(line, i, 1, ml.n)
+		if !ok || t == u {
 			return false
 		}
-		ml.ts = append(ml.ts, int32(x-1))
-		if !ml.weighted {
-			continue
-		}
-		for i < len(line) && asciiSpace[line[i]] {
-			i++
-		}
-		start = i
-		for ; i < len(line) && !asciiSpace[line[i]]; i++ {
-			if line[i] >= 0x80 {
-				return false // maybe Unicode space: strings.Fields decides
+		ml.ts, i = append(ml.ts, t), end
+		if ml.weighted {
+			var w float64
+			if w, i, ok = scanWeight(line, skipSpace(line, i)); !ok {
+				return false
 			}
+			ml.ws = append(ml.ws, w)
 		}
-		w, err := strconv.ParseFloat(string(line[start:i]), 64)
-		if err != nil || !(w > 0) || w > 1e308 {
-			return false
-		}
-		ml.ws = append(ml.ws, w)
 	}
 	for k, t := range ml.ts {
 		var wt float64
