@@ -430,15 +430,13 @@ func scanID[T text](data T, i, base, bound int) (id int32, end int, ok bool) {
 // scanWeight reads the weight token at data[i:], which ends at ASCII
 // space, '\n' or the end of data, and returns it with the index past
 // it. ok is false where parseWeight fails: unless strconv.ParseFloat
-// reads a positive finite number. It is also false for a token holding
-// a byte >= 0x80, which may be Unicode space that only strings.Fields
-// splits on.
+// reads a positive finite number. ParseFloat takes no byte >= 0x80, so
+// a token running into Unicode space, which only strings.Fields splits
+// on, fails here and is left to the reference tokenizer.
 func scanWeight[T text](data T, i int) (w float64, end int, ok bool) {
 	start := i
-	for ; i < len(data) && !asciiSpace[data[i]] && data[i] != '\n'; i++ {
-		if data[i] >= 0x80 {
-			return 0, i, false
-		}
+	for i < len(data) && !asciiSpace[data[i]] && data[i] != '\n' {
+		i++
 	}
 	w, err := strconv.ParseFloat(string(data[start:i]), 64)
 	return w, i, err == nil && w > 0 && w <= 1e308

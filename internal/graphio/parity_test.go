@@ -343,6 +343,8 @@ func metisInputs() map[string]string {
 		"id-19-digits":      "3 2\n0000000000000000002 3\n1\n1\n",
 		"id-19-digits-over": "3 2\n9999999999999999999 3\n1\n1\n",
 		"plus":              "3 2\n+2 3\n1\n1\n",
+		"second-plus":       "3 2\n2 +3\n1\n1\n",
+		"second-19-digits":  "3 2\n2 0000000000000000003\n1\n1\n",
 		"minus-zero":        "3 2\n-0 3\n1\n1\n",
 		"leading-zeros":     "3 2\n002 3\n1\n1\n",
 		"zero-id":           "3 2\n0 3\n1\n1\n",
@@ -362,6 +364,7 @@ func metisInputs() map[string]string {
 		"weight-nbsp":       "2 1 001\n2 1.5\u00a0\n1 1.5\n",
 		"weight-long":       "2 1 001\n2 1.000000000000000000000000000000000000001\n1 1\n",
 		"weight-glued":      "2 1 001\n2 1.5x\n1 1.5\n",
+		"weight-plus-id":    "3 2 001\n2 1 +3 1\n1 1\n1 1\n",
 	}
 	for _, w := range []string{"1e308", "1e309", "NaN", "+Inf", "0x1p-2", ".5", "5.", "-0", "0"} {
 		rows["weight-"+w] = "2 1 001\n2 " + w + "\n1 " + w + "\n"
@@ -402,6 +405,7 @@ func boundaryInputs(f Format, weighted bool) map[string]string {
 		"id-19-digits":           "@ 0000000000000000001 2|\n",
 		"id-19-digits-high":      "@ 1000000000000000000 2|\n",
 		"id-19-digits-over":      "@ 9999999999999999999 2|\n",
+		"id-20-digits-wrap":      "@ 18446744073709551617 2|\n",
 		"second-id-18-digits":    "@ 2 000000000000000001|\n",
 		"second-id-19-digits":    "@ 2 0000000000000000001|\n",
 		"plus-one":               "@ +1 2|\n",
@@ -424,6 +428,7 @@ func boundaryInputs(f Format, weighted bool) map[string]string {
 		"comment-between":        "@ 1 2|\n" + comment + " x\n  " + comment + "\n@ 2 3|\n",
 		"blank-between":          "@ 1 2|\n\n \t\n@ 2 3|\n",
 		"three-ids":              "@ 1 2 3|\n",
+		"glued-fraction":         "@ 1 2.5\n",
 		"trailing-token":         "@ 1 2| x\n",
 		"nbsp-after":             "@ 1 2|\u00a0\n",
 	}
