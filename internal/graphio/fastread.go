@@ -698,12 +698,13 @@ func (fr *fastReader) body(data string) error {
 // reserve makes room for add more merged entries. Without a known
 // stream length, append grows the slices as before. With one, a merge
 // that outgrows them sizes them for the entries the windows so far
-// predict: those entries scaled by the bytes left, plus 1/32 of slack,
-// so a file's edges are allocated once instead of regrown window by
-// window. The prediction rests on bytes read, never on a count the
-// input declares; an entry line takes at least three bytes, so it stays
-// below a third of the length. A prediction the merge has already
-// passed leaves the growth to append.
+// predict: those entries scaled from the bytes read to the whole
+// length, plus 1/32 of slack, so a file's edges are allocated once
+// instead of regrown window by window. The prediction rests on bytes
+// read, never on a count the input declares; an entry line takes at
+// least three bytes, so it comes to about a third of the length at
+// most. A prediction the merge has already passed leaves the growth to
+// append.
 func (fr *fastReader) reserve(add int) {
 	have, room := len(fr.keys), cap(fr.keys)
 	if fr.spec.weighted {

@@ -242,8 +242,8 @@ func ReadFileFormat(path string, f Format) (*Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A regular file read as it is stores its length; a gzip stream's
-	// length is not the text's.
+	// An uncompressed regular file's length is the text's; a gzip
+	// file's is not, and a pipe or a device has none.
 	var size int64
 	if fi, err := file.Stat(); err == nil && fi.Mode().IsRegular() {
 		if _, gz := r.(*gzip.Reader); !gz {

@@ -11,13 +11,13 @@ import (
 
 // lru is a bounded least-recently-used map from string keys to
 // immutable values, with hit, miss and eviction counters. It backs the
-// deterministic result cache (content-addressed cache key to completed
-// *Report, see CacheKey) and the resolve memo (instance spec to
-// instanceInfo, see memo.go). Values are treated as immutable once
-// stored — every consumer of a cached Report (the job views, the
-// solution renderer, the trace endpoint) only reads it, so a cache hit
-// can hand out the same pointer and still be bit-identical to the cold
-// run that produced it.
+// deterministic result cache (content-addressed cache key to a
+// completed Report with its solution hash, see CacheKey and result)
+// and the resolve memo (instance spec to instanceInfo, see memo.go).
+// Values are treated as immutable once stored — every consumer of a
+// cached Report (the job views, the solution renderer, the trace
+// endpoint) only reads it, so a cache hit can hand out the same pointer
+// and still be bit-identical to the cold run that produced it.
 type lru[V any] struct {
 	mu      sync.Mutex
 	cap     int
