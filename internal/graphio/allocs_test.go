@@ -30,10 +30,9 @@ func allocsInstance() (plain, weighted *Data) {
 // path). The METIS reader scans the Scanner's bytes of each vertex
 // line instead of its text and fields (8,252 and 8,283 allocations
 // before, plain and weighted). Each ceiling is about 2× the count
-// measured at Go 1.24
-// (AllocsPerRun runs at GOMAXPROCS 1, so the count does not depend on
-// the core count). Skipped under race: the race runtime allocates on
-// its own behalf.
+// measured at Go 1.24 (AllocsPerRun runs at GOMAXPROCS 1, so the count
+// does not depend on the core count). Skipped under race: the race
+// runtime allocates on its own behalf.
 func TestReaderAllocsCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under the race runtime")

@@ -61,9 +61,13 @@ func FuzzReadEdgeList(f *testing.F) {
 }
 
 // addBoundarySeeds appends the boundary rows of the parity table
-// (boundaryInputs) to a fuzzer's seeds, in a fixed order.
+// (boundaryInputs) to a fuzzer's seeds.
 func addBoundarySeeds(f *testing.F, format Format, weighted bool) {
-	rows := boundaryInputs(format, weighted)
+	addRows(f, boundaryInputs(format, weighted))
+}
+
+// addRows appends a parity corpus to a fuzzer's seeds, in name order.
+func addRows(f *testing.F, rows map[string]string) {
 	for _, name := range slices.Sorted(maps.Keys(rows)) {
 		f.Add([]byte(rows[name]))
 	}
@@ -217,6 +221,7 @@ func FuzzReadMETIS(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	addRows(f, metisInputs())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzParity(t, data, FormatMETIS)
 		fuzzFormat(t, data, FormatMETIS)
