@@ -2,8 +2,10 @@ package mpc
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
+	"mpcgraph/internal/model"
 	"mpcgraph/internal/rng"
 )
 
@@ -170,33 +172,72 @@ func TestGatherToValidation(t *testing.T) {
 	}
 }
 
+// TestBroadcastFrom pins what a broadcast charges: two rounds, words·M
+// total words, words as every machine's inbox (the source's fan-out is
+// not an outbox load) and one trace event of words·M.
 func TestBroadcastFrom(t *testing.T) {
-	c, _ := NewCluster(Config{Machines: 5, CapacityWords: 100, Strict: true})
-	in, err := c.BroadcastFrom(3, 7, "hello")
+	var events []model.TraceEvent
+	c, _ := NewCluster(Config{Machines: 5, CapacityWords: 100, Strict: true,
+		Trace: func(ev model.TraceEvent) { events = append(events, ev) }})
+	out, in := c.Loads()
+	out[1], in[2] = 11, 11
+	if err := c.ChargeLoads(out, in); err != nil {
+		t.Fatal(err)
+	}
+	c.SetActive(4)
+	got, err := c.BroadcastFrom(3, 7, "hello")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(in) != 5 {
-		t.Fatalf("broadcast delivered %d copies", len(in))
+	if len(got) != 5 {
+		t.Fatalf("broadcast delivered %d copies", len(got))
 	}
-	for j, msg := range in {
+	for j, msg := range got {
 		if msg.From != 3 || msg.To != j || msg.Payload != "hello" {
 			t.Errorf("copy %d = %+v", j, msg)
 		}
 	}
-	m := c.Metrics()
-	if m.Rounds != 2 {
-		t.Errorf("broadcast cost %d rounds, want 2", m.Rounds)
+	want := Metrics{Rounds: 3, MaxInWords: 11, MaxOutWords: 11, TotalWords: 11 + 35}
+	if m := c.Metrics(); m != want {
+		t.Errorf("metrics = %+v, want %+v", m, want)
 	}
-	if m.TotalWords != 35 {
-		t.Errorf("total words = %d, want 35", m.TotalWords)
+	if _, err := c.BroadcastFrom(0, 13, nil); err != nil {
+		t.Fatal(err)
+	}
+	want = Metrics{Rounds: 5, MaxInWords: 13, MaxOutWords: 11, TotalWords: 11 + 35 + 65}
+	if m := c.Metrics(); m != want {
+		t.Errorf("metrics = %+v, want %+v", m, want)
+	}
+	wantEvents := []model.TraceEvent{
+		{Round: 1, LiveWords: 11},
+		{Round: 3, LiveWords: 35, ActiveVertices: 4},
+		{Round: 5, LiveWords: 65, ActiveVertices: 4},
+	}
+	if !reflect.DeepEqual(events, wantEvents) {
+		t.Errorf("events = %+v, want %+v", events, wantEvents)
 	}
 }
 
+// TestBroadcastOverflow: a payload over the capacity fails a strict
+// broadcast on machine 0's inbox and costs one violation per machine
+// otherwise.
 func TestBroadcastOverflow(t *testing.T) {
-	c, _ := NewCluster(Config{Machines: 2, CapacityWords: 5, Strict: true})
-	if _, err := c.BroadcastFrom(0, 9, nil); err == nil {
-		t.Error("oversized broadcast accepted")
+	c, _ := NewCluster(Config{Machines: 3, CapacityWords: 5, Strict: true})
+	_, err := c.BroadcastFrom(0, 9, nil)
+	want := &CapacityError{Machine: 0, Round: 2, Words: 9, Capacity: 5, Dir: "in"}
+	var ce *CapacityError
+	if !errors.As(err, &ce) || *ce != *want {
+		t.Errorf("err = %v, want %v", err, want)
+	}
+	if m := c.Metrics(); m != (Metrics{Rounds: 2, MaxInWords: 9, TotalWords: 27, Violations: 3}) {
+		t.Errorf("metrics after a strict overflow = %+v", m)
+	}
+	lax, _ := NewCluster(Config{Machines: 3, CapacityWords: 5})
+	if _, err := lax.BroadcastFrom(0, 9, nil); err != nil {
+		t.Fatalf("non-strict overflow errored: %v", err)
+	}
+	if v := lax.Metrics().Violations; v != 3 {
+		t.Errorf("violations = %d, want 3", v)
 	}
 	if _, err := c.BroadcastFrom(7, 1, nil); err == nil {
 		t.Error("invalid source accepted")
