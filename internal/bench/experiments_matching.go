@@ -407,7 +407,6 @@ func runE13(cfg Config) *Table {
 				if r, err := baseline.LubyMISOnCluster(g, rng.New(seed+1), c); err == nil {
 					luby = append(luby, float64(r.Rounds))
 				}
-				c.Close()
 			}
 			if res, err := matching.Simulate(g, matching.SimOptions{Seed: seed, Eps: 0.1, Workers: cfg.Workers}); err == nil {
 				oursMatch = append(oursMatch, float64(res.Rounds))
@@ -417,7 +416,6 @@ func runE13(cfg Config) *Table {
 				if r, err := baseline.IsraeliItaiOnCluster(g, rng.New(seed+3), c); err == nil {
 					ii = append(ii, float64(r.Rounds))
 				}
-				c.Close()
 			}
 		}
 		t.Rows = append(t.Rows, []string{

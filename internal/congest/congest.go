@@ -8,11 +8,15 @@
 // precondition (no player sends or receives more than n words) validated,
 // exactly as the paper invokes it in Section 2.
 //
-// The round loop, routing and accounting live in internal/machine; this
-// package is the clique charge policy over that core: self-sends are
-// illegal, plain rounds audit every ordered pair against the per-round
-// word budget, and Lenzen routings audit per-player volumes against the
-// scheme's n-word limit.
+// Algorithms charge the clique from volume profiles (ChargeRound,
+// ChargeLenzen). Round, LenzenRoute and AllBroadcast carry real messages
+// and stay for the real-message MIS test, which checks the charged MIS
+// simulation against them.
+//
+// The accounting lives in internal/machine; this package is the clique
+// charge policy over that core: self-sends are illegal, plain rounds
+// audit every ordered pair against the per-round word budget, and Lenzen
+// routings audit per-player volumes against the scheme's n-word limit.
 package congest
 
 import (
@@ -22,7 +26,6 @@ import (
 
 	"mpcgraph/internal/machine"
 	"mpcgraph/internal/model"
-	"mpcgraph/internal/par"
 )
 
 // Config describes a clique deployment.
@@ -34,10 +37,6 @@ type Config struct {
 	PairBudgetWords int
 	// Strict makes budget violations fail the round.
 	Strict bool
-	// Workers bounds the goroutines used to process a round's outboxes
-	// (0 = all cores, 1 = sequential). Every setting produces identical
-	// inboxes, metrics and errors.
-	Workers int
 	// Ctx, when non-nil, is checked at the start of every round-charging
 	// operation; a cancelled context aborts the operation with ctx.Err(),
 	// making long simulated runs cancellable between rounds.
@@ -81,7 +80,7 @@ func (e *BudgetError) Error() string {
 // Clique is a simulated CONGESTED-CLIQUE network.
 type Clique struct {
 	cfg  Config
-	core *machine.Core
+	core machine.Core
 }
 
 // New validates cfg and returns a fresh clique.
@@ -93,24 +92,18 @@ func New(cfg Config) (*Clique, error) {
 		return nil, errors.New("congest: pair budget must be positive")
 	}
 	core := machine.NewCore(machine.Config{
-		Nodes:   cfg.Players,
-		Workers: cfg.Workers,
-		Strict:  cfg.Strict,
-		Ctx:     cfg.Ctx,
-		Trace:   cfg.Trace,
-		Name:    "congest",
-		Unit:    "player",
+		Nodes:  cfg.Players,
+		Strict: cfg.Strict,
+		Ctx:    cfg.Ctx,
+		Trace:  cfg.Trace,
+		Name:   "congest",
+		Unit:   "player",
 	})
 	return &Clique{cfg: cfg, core: core}, nil
 }
 
 // Players returns n.
 func (q *Clique) Players() int { return q.cfg.Players }
-
-// Close releases the clique's pooled routing scratch for reuse by the
-// next network. Call it when the metered computation is finished; the
-// clique must not be used afterwards. Idempotent.
-func (q *Clique) Close() { q.core.Release() }
 
 // Metrics returns a snapshot of the accumulated metrics.
 func (q *Clique) Metrics() Metrics {
@@ -159,8 +152,8 @@ func (q *Clique) lenzenAudit(round, player int, words int64, in bool) error {
 
 // Round executes one synchronous round. out[i] holds player i's messages;
 // the per-ordered-pair budget is enforced. Delivery order is by sender.
-// The per-player accounting fans out across Workers goroutines; inboxes,
-// metrics and errors are bit-identical for every Workers setting.
+// The real-message MIS of internal/mis/realmessage_test.go needs it;
+// algorithms charge rounds with ChargeRound.
 func (q *Clique) Round(out [][]Message) ([][]Message, error) {
 	if len(out) != q.cfg.Players {
 		return nil, fmt.Errorf("congest: Round got %d outboxes for %d players", len(out), q.cfg.Players)
@@ -178,7 +171,9 @@ func (q *Clique) Round(out [][]Message) ([][]Message, error) {
 // (charged as two) provided no player sends more than n words and no
 // player is the destination of more than n words — the guarantee of
 // Lenzen's deterministic routing scheme [Len13]. The precondition is
-// validated; violations are findings about the calling algorithm.
+// validated; violations are findings about the calling algorithm. The
+// real-message MIS of internal/mis/realmessage_test.go needs it;
+// algorithms charge invocations with ChargeLenzen.
 func (q *Clique) LenzenRoute(out [][]Message) ([][]Message, error) {
 	if len(out) != q.cfg.Players {
 		return nil, fmt.Errorf("congest: LenzenRoute got %d outboxes for %d players", len(out), q.cfg.Players)
@@ -245,7 +240,8 @@ func (q *Clique) ChargeLenzen(maxOut, maxIn, total int64) error {
 // AllBroadcast has every player send the same wordsEach-sized payload to
 // all other players in one round (legal whenever wordsEach fits the pair
 // budget). payloads[i] is player i's value; the result received[j][i] is
-// payloads[i] for every j != i, nil at i == j.
+// payloads[i] for every j != i, nil at i == j. The real-message MIS of
+// internal/mis/realmessage_test.go needs it.
 func (q *Clique) AllBroadcast(wordsEach int, payloads []any) ([][]any, error) {
 	n := q.cfg.Players
 	if len(payloads) != n {
@@ -270,16 +266,14 @@ func (q *Clique) AllBroadcast(wordsEach int, payloads []any) ([][]any, error) {
 	q.core.ObserveOut(per)
 	q.core.ObserveIn(per)
 	received := make([][]any, n)
-	par.For(q.cfg.Workers, n, func(lo, hi, _ int) {
-		for j := lo; j < hi; j++ {
-			row := make([]any, n)
-			for i := 0; i < n; i++ {
-				if i != j {
-					row[i] = payloads[i]
-				}
+	for j := range received {
+		row := make([]any, n)
+		for i := 0; i < n; i++ {
+			if i != j {
+				row[i] = payloads[i]
 			}
-			received[j] = row
 		}
-	})
+		received[j] = row
+	}
 	return received, nil
 }

@@ -1,46 +1,31 @@
 // Package machine is the metered execution core shared by every
 // simulated computation model in this repository. One Core implements
-// the machinery that is identical across models — the synchronous round
-// loop, deterministic outbox-to-inbox routing, per-node load
-// observation, cumulative metrics, context cancellation, trace events,
-// the SetActive progress gauge, and Workers-bounded sharding — while a
-// small per-step RouteSpec carries the semantics that differ between
-// models: what counts as a malformed message, whether per-ordered-pair
-// bandwidth budgets apply (CONGESTED-CLIQUE), and how per-node loads
-// are audited against capacity (MPC) or routing limits (Lenzen).
+// the machinery that is identical across models — round and volume
+// accounting, per-node load observation, cumulative metrics, context
+// cancellation, trace events and the SetActive progress gauge — while
+// the model packages decide what a step costs: internal/mpc audits
+// per-machine loads against a memory capacity, internal/congest audits
+// per-pair budgets and Lenzen's routing limits.
 //
-// internal/mpc and internal/congest are thin policy instantiations of
-// this core: they own their Config/Metrics vocabulary and error types,
-// and delegate every metered step here. Algorithm packages never import
-// machine directly — they drive the model packages, which all charge
-// the same core. See docs/design.md for the architecture.
+// Every production charge is a load charge: the model package computes a
+// step's per-node loads and folds them into the core with AddRounds,
+// AddTotal, Emit, ObserveOut, ObserveIn and Violation, so no algorithm
+// builds a message. Route is the one exception, a sequential message
+// router that tests use as the reference those load charges are checked
+// against; a per-step RouteSpec carries the semantics that differ
+// between models.
 //
-// # Determinism contract
-//
-// Routing fans out across Workers goroutines in contiguous shards
-// merged in shard order, so inboxes (ordered by sender, then submission
-// order), metrics and errors are bit-identical for every Workers
-// setting. A Core is driven from one goroutine, exactly like the
-// bulk-synchronous models it meters; the internal scratch reuse relies
-// on that.
-//
-// # Allocation discipline
-//
-// The routing hot path reuses all tally scratch (per-shard inbox words,
-// message counts, delivery cursors, per-pair budget tallies) across
-// rounds, and delivers each round's messages out of a single flat arena
-// allocation sliced per receiver, instead of one allocation per inbox.
-// Charge-style callers take pooled outboxes from Outboxes, or pooled
-// per-node load tallies from Loads.
+// Algorithm packages never import machine directly — they drive the
+// model packages, which all charge the same core. See docs/design.md for
+// the architecture. A Core is driven from one goroutine, exactly like
+// the bulk-synchronous models it meters.
 package machine
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"mpcgraph/internal/model"
-	"mpcgraph/internal/par"
 )
 
 // Message is one unit of simulated communication. Words is the size of
@@ -76,9 +61,6 @@ type Config struct {
 	// Nodes is the number of machines or players. Must be positive
 	// (validated by the owning model package).
 	Nodes int
-	// Workers bounds the goroutines used to process a round's outboxes
-	// (0 = all cores, 1 = sequential).
-	Workers int
 	// Strict makes violations fail the offending operation instead of
 	// only being recorded in Metrics.
 	Strict bool
@@ -119,122 +101,19 @@ type RouteSpec struct {
 	Audit func(round, node int, words int64, in bool) error
 }
 
-// Core is one metered network. Drive it from a single goroutine; within
-// a round it fans the per-node accounting out across Workers goroutines
-// itself (nodes are independent inside a round, which is exactly the
-// parallelism the models grant).
+// Core is one metered network. Drive it from a single goroutine.
 type Core struct {
 	cfg    Config
 	met    Metrics
-	active int // algorithm-reported undecided-vertex gauge
-
-	// Pooled routing scratch, reused across rounds. Sized once in
-	// NewCore: the shard count is a pure function of (Workers, Nodes),
-	// both fixed for the Core's lifetime.
-	shards     int
-	outWords   []int64
-	inWords    []int64
-	recvCnt    []int32
-	shardIn    [][]int64
-	shardCnt   [][]int32
-	shardTotal []int64
-	shardErr   []error
-	shardAux   []error
-	shardViol  []int
-	pairWords  [][]int64 // lazily allocated per-shard pair tallies
-	pairTouch  [][]int   // per-shard scratch listing the dirtied tallies
-	outbox     [][]Message
-	loads      []int64 // lazily allocated out and in tallies of Loads, back to back
-	released   bool
+	active int     // algorithm-reported undecided-vertex gauge
+	loads  []int64 // out and in tallies of Loads, back to back, allocated on first use
 }
 
-// corePool recycles routing scratch across Cores. Solve-style callers
-// build one network per job; without the pool, every job re-allocates
-// the full O(shards × nodes) tally scratch just to drop it at job end.
-// Release feeds a finished Core back; NewCore re-sizes whatever it
-// gets, so pooled scratch survives changes in node or worker counts.
-var corePool = sync.Pool{}
-
-// grow returns s with length n, reusing its backing array when the
-// capacity suffices. Contents are unspecified; every consumer either
-// zeroes or fully overwrites its scratch per round.
-func grow[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
-
-// NewCore builds a core for cfg, reusing pooled routing scratch from a
-// Released core when available. The owning model package validates
+// NewCore builds a core for cfg. The owning model package validates
 // cfg.Nodes before calling.
-func NewCore(cfg Config) *Core {
-	shards := par.ShardCount(cfg.Workers, cfg.Nodes)
-	c, _ := corePool.Get().(*Core)
-	if c == nil {
-		c = &Core{}
-	}
-	n := cfg.Nodes
-	*c = Core{
-		cfg:        cfg,
-		shards:     shards,
-		outWords:   grow(c.outWords, n),
-		inWords:    grow(c.inWords, n),
-		recvCnt:    grow(c.recvCnt, n),
-		shardIn:    grow(c.shardIn, shards),
-		shardCnt:   grow(c.shardCnt, shards),
-		shardTotal: grow(c.shardTotal, shards),
-		shardErr:   grow(c.shardErr, shards),
-		shardAux:   grow(c.shardAux, shards),
-		shardViol:  grow(c.shardViol, shards),
-		outbox:     c.outbox,
-		loads:      c.loads,
-		// pairWords/pairTouch stay lazily allocated: their shape depends
-		// on the spec of the first budgeted Route, and only clique-style
-		// callers ever need them.
-	}
-	if c.outbox != nil {
-		// Keep pooled outboxes too; Outboxes() re-trims them per call and
-		// Release cleared their contents.
-		c.outbox = grow(c.outbox, n)
-	}
-	for w := 0; w < shards; w++ {
-		c.shardIn[w] = grow(c.shardIn[w], n)
-		c.shardCnt[w] = grow(c.shardCnt[w], n)
-	}
-	return c
+func NewCore(cfg Config) Core {
+	return Core{cfg: cfg}
 }
-
-// Release returns the Core's routing scratch to the pool. Callers that
-// are done metering (job finished, cluster torn down) call it to let
-// the next NewCore skip the scratch allocations; the Core must not be
-// used afterwards. Release is idempotent and keeps no caller-visible
-// state: pooled outboxes are cleared so no message Payload stays
-// reachable through the pool.
-func (c *Core) Release() {
-	if c == nil || c.released {
-		return
-	}
-	c.released = true
-	for i := range c.outbox {
-		b := c.outbox[i][:cap(c.outbox[i])]
-		for k := range b {
-			b[k] = Message{}
-		}
-		c.outbox[i] = c.outbox[i][:0]
-	}
-	c.cfg = Config{} // drop context and trace references
-	corePool.Put(c)
-}
-
-// Nodes returns the node count.
-func (c *Core) Nodes() int { return c.cfg.Nodes }
-
-// Workers returns the configured worker bound.
-func (c *Core) Workers() int { return c.cfg.Workers }
-
-// Strict reports whether violations fail operations.
-func (c *Core) Strict() bool { return c.cfg.Strict }
 
 // Metrics returns a snapshot of the accumulated metrics.
 func (c *Core) Metrics() Metrics { return c.met }
@@ -286,44 +165,31 @@ func (c *Core) Emit(words int64) {
 	}
 }
 
-// Outboxes returns a pooled outbox set (one empty slice per node,
-// capacity retained across calls) for charge-style callers that
-// materialize synthetic messages every round. The contents are consumed
-// by the next Route call on this core; callers must not retain them.
-func (c *Core) Outboxes() [][]Message {
-	if c.outbox == nil {
-		c.outbox = make([][]Message, c.cfg.Nodes)
-	}
-	for i := range c.outbox {
-		c.outbox[i] = c.outbox[i][:0]
-	}
-	return c.outbox
-}
-
-// Loads returns pooled per-node word tallies, zeroed, for charge-style
-// callers that compute a step's loads instead of materializing its
-// messages: out[i] for what node i sends, in[j] for what node j
-// receives. They stay valid until the next Loads call on this core.
+// Loads returns per-node word tallies, zeroed, for callers that charge a
+// step from its loads instead of materializing its messages: out[i] for
+// what node i sends, in[j] for what node j receives. The core reuses
+// them, so they stay valid only until the next Loads call.
 func (c *Core) Loads() (out, in []int64) {
 	n := c.cfg.Nodes
-	c.loads = grow(c.loads, 2*n)
-	clear(c.loads)
+	if c.loads == nil {
+		c.loads = make([]int64, 2*n)
+	} else {
+		clear(c.loads)
+	}
 	return c.loads[:n:n], c.loads[n:]
 }
 
-// Route executes one metered communication step: it validates and
-// tallies every outbox, commits volume metrics, emits one trace event,
-// delivers the messages (ordered by sender, then submission order), and
-// audits per-node loads per spec. out[i] holds the messages node i
-// emits; From fields are overwritten with i. The returned slice in[j]
-// holds the messages delivered to node j.
+// Route executes one metered communication step with real messages, in
+// one sequential pass. It is the reference the load charges are tested
+// against; no production path calls it. It validates and tallies every
+// outbox, commits the volume, emits one trace event, delivers the
+// messages (ordered by sender, then submission order) and audits
+// per-node loads per spec. out[i] holds the messages node i emits; From
+// fields are overwritten with i. The returned in[j] holds the messages
+// delivered to node j, nil if there are none.
 //
-// The per-node accounting fans out across Workers goroutines: each
-// worker validates and tallies a contiguous shard of senders, the
-// shard-order prefix sums fix every delivery slot, and a second
-// parallel pass writes the inboxes in exactly the order the sequential
-// loop would. Malformed messages abort the step (the round still
-// counts); budget/capacity violations complete the step and, in strict
+// A malformed message aborts the step before anything but the round is
+// charged; budget/capacity violations complete the step and, in strict
 // mode, fail it afterwards — the nodes did communicate; that the model
 // was violated is the finding.
 func (c *Core) Route(out [][]Message, spec RouteSpec) ([][]Message, error) {
@@ -335,155 +201,60 @@ func (c *Core) Route(out [][]Message, spec RouteSpec) ([][]Message, error) {
 		return nil, err
 	}
 	c.met.Rounds += spec.Rounds
-	shards := c.shards
-	for w := 0; w < shards; w++ {
-		c.shardTotal[w] = 0
-		c.shardErr[w] = nil
-		c.shardAux[w] = nil
-		c.shardViol[w] = 0
-	}
-	if spec.PairBudget > 0 && c.pairWords == nil {
-		c.pairWords = make([][]int64, shards)
-		c.pairTouch = make([][]int, shards)
-		for w := 0; w < shards; w++ {
-			c.pairWords[w] = make([]int64, n)
-			c.pairTouch[w] = make([]int, 0, 16)
-		}
-	}
 	round := c.met.Rounds
-	par.For(c.cfg.Workers, n, func(lo, hi, w int) {
-		iw, cw := c.shardIn[w], c.shardCnt[w]
-		for j := range iw {
-			iw[j] = 0
-			cw[j] = 0
-		}
-		// The pair budget only aggregates within one sender's box, so a
-		// worker-local tally with per-sender reset suffices. A malformed
-		// message aborts the worker mid-sender, so the pooled tally is
-		// re-zeroed on entry — the per-sender resets keep it clean only
-		// on complete rounds.
-		var pw []int64
-		var touched []int
-		if spec.PairBudget > 0 {
-			pw = c.pairWords[w]
-			for j := range pw {
-				pw[j] = 0
-			}
-			touched = c.pairTouch[w][:0]
-		}
-		for i := lo; i < hi; i++ {
-			var ow int64
-			for k := range out[i] {
-				msg := &out[i][k]
-				if msg.To < 0 || msg.To >= n {
-					c.shardErr[w] = fmt.Errorf("%s: %s %d %s to invalid %s %d",
-						c.cfg.Name, c.cfg.Unit, i, spec.Verb, c.cfg.Unit, msg.To)
-					return
-				}
-				if spec.ForbidSelf && msg.To == i {
-					c.shardErr[w] = fmt.Errorf("%s: %s %d sent to itself", c.cfg.Name, c.cfg.Unit, i)
-					return
-				}
-				if msg.Words < 0 {
-					c.shardErr[w] = fmt.Errorf("%s: %s %d %s negative-size message",
-						c.cfg.Name, c.cfg.Unit, i, spec.Verb)
-					return
-				}
-				if pw != nil {
-					if pw[msg.To] == 0 {
-						touched = append(touched, msg.To)
-					}
-					pw[msg.To] += msg.Words
-					if pw[msg.To] > spec.PairBudget {
-						c.shardViol[w]++
-						if c.shardAux[w] == nil {
-							c.shardAux[w] = spec.PairErr(round, i, msg.To, pw[msg.To], spec.PairBudget)
-						}
-					}
-				}
-				ow += msg.Words
-				iw[msg.To] += msg.Words
-				cw[msg.To]++
-				c.shardTotal[w] += msg.Words
-			}
-			c.outWords[i] = ow
-			if pw != nil {
-				for _, t := range touched {
-					pw[t] = 0
-				}
-				touched = touched[:0]
-			}
-		}
-		if pw != nil {
-			c.pairTouch[w] = touched // keep any growth for the next round
-		}
-	})
-	for _, err := range c.shardErr {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Commit volume metrics and deferred violations in shard order.
+	sent, received := make([]int64, n), make([]int64, n)
+	pair := make([]int64, n) // the current sender's words per receiver
+	var total int64
+	var violations int
 	var firstErr error
-	var roundWords int64
-	for w := 0; w < shards; w++ {
-		c.met.TotalWords += c.shardTotal[w]
-		roundWords += c.shardTotal[w]
-		c.met.Violations += c.shardViol[w]
-		if firstErr == nil {
-			firstErr = c.shardAux[w]
-		}
-	}
-	c.Emit(roundWords)
-	// Turn the per-shard counts into delivery cursors: shardCnt[w][j]
-	// becomes the first slot of in[j] that shard w writes, so the
-	// parallel fill reproduces sender order exactly.
-	par.For(c.cfg.Workers, n, func(lo, hi, _ int) {
-		for j := lo; j < hi; j++ {
-			var words int64
-			var cnt int32
-			for w := 0; w < shards; w++ {
-				words += c.shardIn[w][j]
-				base := cnt
-				cnt += c.shardCnt[w][j]
-				c.shardCnt[w][j] = base
+	for i, box := range out {
+		for _, msg := range box {
+			switch {
+			case msg.To < 0 || msg.To >= n:
+				return nil, fmt.Errorf("%s: %s %d %s to invalid %s %d", c.cfg.Name, c.cfg.Unit, i, spec.Verb, c.cfg.Unit, msg.To)
+			case spec.ForbidSelf && msg.To == i:
+				return nil, fmt.Errorf("%s: %s %d sent to itself", c.cfg.Name, c.cfg.Unit, i)
+			case msg.Words < 0:
+				return nil, fmt.Errorf("%s: %s %d %s negative-size message", c.cfg.Name, c.cfg.Unit, i, spec.Verb)
 			}
-			c.inWords[j] = words
-			c.recvCnt[j] = cnt
+			if spec.PairBudget > 0 {
+				pair[msg.To] += msg.Words
+				if pair[msg.To] > spec.PairBudget {
+					violations++
+					if firstErr == nil {
+						firstErr = spec.PairErr(round, i, msg.To, pair[msg.To], spec.PairBudget)
+					}
+				}
+			}
+			sent[i] += msg.Words
+			received[msg.To] += msg.Words
+			total += msg.Words
 		}
-	})
-	// One flat arena holds every delivered message; inboxes are
-	// per-receiver windows into it (one allocation per round instead of
-	// one per non-empty inbox).
-	var totalCnt int64
-	for j := 0; j < n; j++ {
-		totalCnt += int64(c.recvCnt[j])
+		for _, msg := range box {
+			pair[msg.To] = 0
+		}
 	}
+	c.met.TotalWords += total
+	c.met.Violations += violations
+	c.Emit(total)
 	in := make([][]Message, n)
-	arena := make([]Message, totalCnt)
-	var off int64
-	for j := 0; j < n; j++ {
-		if cnt := int64(c.recvCnt[j]); cnt > 0 {
-			in[j] = arena[off : off+cnt : off+cnt]
-			off += cnt
+	for i, box := range out {
+		for _, msg := range box {
+			msg.From = i
+			in[msg.To] = append(in[msg.To], msg)
 		}
 	}
-	par.For(c.cfg.Workers, n, func(lo, hi, w int) {
-		cur := c.shardCnt[w]
-		for i := lo; i < hi; i++ {
-			for k := range out[i] {
-				msg := out[i][k]
-				msg.From = i
-				in[msg.To][cur[msg.To]] = msg
-				cur[msg.To]++
+	audit := func(loads []int64, inbox bool) {
+		for i, w := range loads {
+			if inbox {
+				c.ObserveIn(w)
+			} else {
+				c.ObserveOut(w)
 			}
-		}
-	})
-	for i := 0; i < n; i++ {
-		ow := c.outWords[i]
-		c.ObserveOut(ow)
-		if spec.Audit != nil {
-			if err := spec.Audit(round, i, ow, false); err != nil {
+			if spec.Audit == nil {
+				continue
+			}
+			if err := spec.Audit(round, i, w, inbox); err != nil {
 				c.met.Violations++
 				if firstErr == nil {
 					firstErr = err
@@ -491,18 +262,8 @@ func (c *Core) Route(out [][]Message, spec RouteSpec) ([][]Message, error) {
 			}
 		}
 	}
-	for j := 0; j < n; j++ {
-		iw := c.inWords[j]
-		c.ObserveIn(iw)
-		if spec.Audit != nil {
-			if err := spec.Audit(round, j, iw, true); err != nil {
-				c.met.Violations++
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-	}
+	audit(sent, false)
+	audit(received, true)
 	if firstErr != nil && c.cfg.Strict {
 		return nil, firstErr
 	}

@@ -10,8 +10,9 @@ import (
 	"mpcgraph/internal/model"
 )
 
-func testCore(nodes, workers int, strict bool) *Core {
-	return NewCore(Config{Nodes: nodes, Workers: workers, Strict: strict, Name: "test", Unit: "node"})
+func testCore(nodes int, strict bool) *Core {
+	c := NewCore(Config{Nodes: nodes, Strict: strict, Name: "test", Unit: "node"})
+	return &c
 }
 
 func pairSpec(budget int64) RouteSpec {
@@ -26,13 +27,11 @@ func pairSpec(budget int64) RouteSpec {
 	}
 }
 
-// TestRoutePairTalliesSurviveAbortedRound is the regression test for the
-// pooled pair-budget scratch: a round aborted mid-sender by a malformed
-// message must not leak its partial tallies into later rounds — the
-// pre-substrate congest.Round allocated the tally fresh per round, and
-// the pooled Core must behave identically.
+// TestRoutePairTalliesSurviveAbortedRound: a round aborted mid-sender by
+// a malformed message must not leak its partial pair tallies into later
+// rounds.
 func TestRoutePairTalliesSurviveAbortedRound(t *testing.T) {
-	c := testCore(4, 1, false)
+	c := testCore(4, false)
 	// Sender 0 tallies one word to node 3, then aborts the round on an
 	// invalid destination.
 	bad := make([][]Message, 4)
@@ -52,10 +51,10 @@ func TestRoutePairTalliesSurviveAbortedRound(t *testing.T) {
 	}
 }
 
-// TestRoutePairBudgetStillEnforced: the per-round zeroing must not relax
-// the budget within one round.
+// TestRoutePairBudgetStillEnforced: the per-sender zeroing must not
+// relax the budget within one round.
 func TestRoutePairBudgetStillEnforced(t *testing.T) {
-	c := testCore(3, 1, true)
+	c := testCore(3, true)
 	out := make([][]Message, 3)
 	out[0] = []Message{{To: 1, Words: 1}, {To: 1, Words: 1}}
 	if _, err := c.Route(out, pairSpec(1)); err == nil {
@@ -69,7 +68,7 @@ func TestRoutePairBudgetStillEnforced(t *testing.T) {
 // TestRouteDeliveryOrderAndMetrics pins the routing contract: delivery
 // ordered by sender then submission order, From stamped, loads audited.
 func TestRouteDeliveryOrderAndMetrics(t *testing.T) {
-	c := testCore(3, 1, false)
+	c := testCore(3, false)
 	out := make([][]Message, 3)
 	out[2] = []Message{{To: 1, Words: 2, Payload: "late"}}
 	out[0] = []Message{{To: 1, Words: 1, Payload: "early"}, {To: 0, Words: 3}}
@@ -99,7 +98,7 @@ func TestRouteAuditViolations(t *testing.T) {
 		}
 		return nil
 	}
-	c := testCore(2, 1, true)
+	c := testCore(2, true)
 	out := make([][]Message, 2)
 	out[0] = []Message{{To: 1, Words: 5}}
 	_, err := c.Route(out, RouteSpec{Rounds: 1, Verb: "sent", Audit: audit})
@@ -119,7 +118,7 @@ func TestRouteAuditViolations(t *testing.T) {
 func TestRouteCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := NewCore(Config{Nodes: 2, Workers: 1, Ctx: ctx, Name: "test", Unit: "node"})
+	c := NewCore(Config{Nodes: 2, Ctx: ctx, Name: "test", Unit: "node"})
 	if _, err := c.Route(make([][]Message, 2), RouteSpec{Rounds: 1, Verb: "sent"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -130,8 +129,9 @@ func TestRouteCancellation(t *testing.T) {
 
 // tracedCore is testCore with every trace event appended to events.
 func tracedCore(nodes int, strict bool, events *[]model.TraceEvent) *Core {
-	return NewCore(Config{Nodes: nodes, Strict: strict, Name: "test", Unit: "node",
+	c := NewCore(Config{Nodes: nodes, Strict: strict, Name: "test", Unit: "node",
 		Trace: func(ev model.TraceEvent) { *events = append(*events, ev) }})
+	return &c
 }
 
 // TestRouteMalformedAfterPairViolation: a malformed message aborts the
@@ -163,7 +163,7 @@ func TestRouteMalformedAfterPairViolation(t *testing.T) {
 // pair's budget counts one violation, and the error names the lowest
 // violating sender.
 func TestRoutePairViolationsTwoSenders(t *testing.T) {
-	c := testCore(4, 1, true)
+	c := testCore(4, true)
 	out := make([][]Message, 4)
 	out[2] = []Message{{To: 0, Words: 1}, {To: 0, Words: 1}, {To: 0, Words: 1}} // two over
 	out[1] = []Message{{To: 3, Words: 1}, {To: 3, Words: 1}}                    // one over
@@ -187,7 +187,7 @@ func TestRoutePairAndAuditInOneStep(t *testing.T) {
 		}
 		return nil
 	}
-	c := testCore(2, 1, true)
+	c := testCore(2, true)
 	out := make([][]Message, 2)
 	out[0] = []Message{{To: 1, Words: 1}, {To: 1, Words: 1}, {To: 1, Words: 1}}
 	_, err := c.Route(out, spec)
@@ -234,7 +234,7 @@ func TestRouteTraceEventPerStep(t *testing.T) {
 // TestRouteStampsFromAndLeavesEmptyInboxesNil: Route overwrites any From
 // the caller set, and a node that receives nothing gets a nil inbox.
 func TestRouteStampsFromAndLeavesEmptyInboxesNil(t *testing.T) {
-	c := testCore(4, 1, false)
+	c := testCore(4, false)
 	out := make([][]Message, 4)
 	out[1] = []Message{{From: 7, To: 0, Words: 1}}
 	out[3] = []Message{{From: 3, To: 0, Words: 1}, {From: -1, To: 2, Words: 1}}
@@ -265,14 +265,14 @@ func TestRouteMalformedErrorText(t *testing.T) {
 		{pairSpec(1), Message{To: 0, Words: -1}, 1, "test: node 1 sent negative-size message"},
 		{RouteSpec{Rounds: 2, Verb: "routes"}, Message{To: 0, Words: -2}, 2, "test: node 2 routes negative-size message"},
 	} {
-		c := testCore(3, 1, false)
+		c := testCore(3, false)
 		out := make([][]Message, 3)
 		out[tc.from] = []Message{tc.msg}
 		if _, err := c.Route(out, tc.spec); err == nil || err.Error() != tc.want {
 			t.Errorf("err = %v, want %q", err, tc.want)
 		}
 	}
-	c := testCore(3, 1, false)
+	c := testCore(3, false)
 	if _, err := c.Route(make([][]Message, 2), pairSpec(1)); err == nil || err.Error() != "test: routing got 2 outboxes for 3 nodes" {
 		t.Errorf("short outbox set: err = %v", err)
 	}

@@ -58,10 +58,6 @@ type Meter interface {
 	SetActive(vertices int)
 	// Costs returns the audited totals so far.
 	Costs() Costs
-	// Close releases the backend's pooled routing scratch for reuse by
-	// the next meter. Call it after the final Costs snapshot; the meter
-	// must not be used afterwards. Idempotent.
-	Close()
 }
 
 // Config carries everything needed to stand up either backend.
@@ -75,8 +71,6 @@ type Config struct {
 	MemoryFactor float64
 	// Strict makes capacity/budget violations fail the charge.
 	Strict bool
-	// Workers bounds goroutine fan-out in the backend.
-	Workers int
 	// Ctx, when non-nil, cancels charges between rounds.
 	Ctx context.Context
 	// Trace, when non-nil, observes every metered round.
@@ -134,7 +128,6 @@ func newMPCMeter(cfg Config) (*mpcMeter, error) {
 		Machines:      cfg.Machines,
 		CapacityWords: int64(cfg.MemoryFactor * float64(cfg.N)),
 		Strict:        cfg.Strict,
-		Workers:       cfg.Workers,
 		Ctx:           cfg.Ctx,
 		Trace:         cfg.Trace,
 	})
@@ -176,8 +169,7 @@ func (mm *mpcMeter) ResultSync(m int, frozenWords int64) error {
 	if err := mm.gather(m, frozenWords); err != nil {
 		return err
 	}
-	_, err := mm.cluster.BroadcastFrom(0, frozenWords, nil)
-	return err
+	return mm.cluster.ChargeBroadcast(frozenWords)
 }
 
 // DirectRound meters one direct Central-Rand iteration: every active
@@ -214,8 +206,6 @@ func (mm *mpcMeter) Costs() Costs {
 	return FoldCosts(met.Rounds, met.MaxInWords, met.MaxOutWords, met.TotalWords, met.Violations)
 }
 
-func (mm *mpcMeter) Close() { mm.cluster.Close() }
-
 // cliqueMeter charges a CONGESTED-CLIQUE of n players with the standard
 // one-word pair budget. Bulk deliveries ride Lenzen's routing scheme in
 // n-word chunks; broadcasts ride the relay tree at n-1 words per player
@@ -234,7 +224,6 @@ func newCliqueMeter(cfg Config) (*cliqueMeter, error) {
 		Players:         players,
 		PairBudgetWords: 1,
 		Strict:          cfg.Strict,
-		Workers:         cfg.Workers,
 		Ctx:             cfg.Ctx,
 		Trace:           cfg.Trace,
 	})
@@ -324,5 +313,3 @@ func (cm *cliqueMeter) Costs() Costs {
 	met := cm.q.Metrics()
 	return FoldCosts(met.Rounds, met.MaxPlayerIn, met.MaxPlayerOut, met.TotalWords, met.Violations)
 }
-
-func (cm *cliqueMeter) Close() { cm.q.Close() }

@@ -57,14 +57,12 @@ func MaximalMatching(g *graph.Graph, opts MaximalOptions) (*MaximalResult, error
 		N:            n,
 		MemoryFactor: opts.MemoryFactor,
 		Strict:       opts.Strict,
-		Workers:      opts.Workers,
 		Ctx:          opts.Ctx,
 		Trace:        opts.Trace,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer mt.Close()
 	mt.SetActive(n)
 	fr := FilteringMaximalMatching(g, int64(opts.MemoryFactor*float64(n)), rng.New(opts.Seed).SplitString("maximal"))
 	for _, w := range fr.RoundWords {

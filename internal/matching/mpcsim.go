@@ -166,16 +166,12 @@ func Simulate(g *graph.Graph, opts SimOptions) (*SimResult, error) {
 		N:            g.NumVertices(),
 		MemoryFactor: opts.MemoryFactor,
 		Strict:       opts.Strict,
-		Workers:      opts.Workers,
 		Ctx:          opts.Ctx,
 		Trace:        opts.Trace,
 	})
 	if err != nil {
 		return nil, err
 	}
-	// simulateOn snapshots the meter's costs before returning, so the
-	// backend scratch can go back to the pool here.
-	defer mt.Close()
 	return simulateOn(new(simState), g, opts, mt)
 }
 

@@ -118,14 +118,12 @@ func ApproxMaxMatching(g *graph.Graph, opts PipelineOptions) (*PipelineResult, e
 		N:            n,
 		MemoryFactor: meter.ResolveMemoryFactor(opts.MemoryFactor),
 		Strict:       opts.Strict,
-		Workers:      opts.Workers,
 		Ctx:          opts.Ctx,
 		Trace:        opts.Trace,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer mt.Close()
 	active := make([]bool, n)
 	for i := range active {
 		active[i] = true

@@ -63,11 +63,10 @@ func TestPhaseStateMatchesRecompute(t *testing.T) {
 func drivePhases(t *testing.T, name string, g *graph.Graph, opts SimOptions) (frozen, removed int) {
 	t.Helper()
 	n := g.NumVertices()
-	mt, err := meter.New(opts.Model, meter.Config{N: n, MemoryFactor: opts.MemoryFactor, Workers: opts.Workers})
+	mt, err := meter.New(opts.Model, meter.Config{N: n, MemoryFactor: opts.MemoryFactor})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mt.Close()
 	lo, hi := 1-4*opts.Eps, 1-2*opts.Eps
 	if opts.FixedThreshold {
 		lo = hi
@@ -163,11 +162,10 @@ func TestReusedStateMatchesFresh(t *testing.T) {
 	}
 	simulate := func(st *simState, g *graph.Graph, opts SimOptions) *SimResult {
 		t.Helper()
-		mt, err := meter.New(opts.Model, meter.Config{N: g.NumVertices(), MemoryFactor: 16, Workers: opts.Workers})
+		mt, err := meter.New(opts.Model, meter.Config{N: g.NumVertices(), MemoryFactor: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer mt.Close()
 		res, err := simulateOn(st, g, opts, mt)
 		if err != nil {
 			t.Fatal(err)

@@ -164,14 +164,12 @@ func ApproxMaxWeightedMatchingMPC(wg *graph.Weighted, opts WeightedMPCOptions) (
 		Machines:      int(math.Sqrt(float64(n))) + 1,
 		CapacityWords: int64(opts.MemoryFactor * float64(n)),
 		Strict:        opts.Strict,
-		Workers:       opts.Workers,
 		Ctx:           opts.Ctx,
 		Trace:         opts.Trace,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
 	cluster.SetActive(n)
 	res := &WeightedMPCResult{WeightedResult: WeightedResult{M: graph.NewMatching(n)}}
 	iters := int(math.Ceil(math.Log(1/eps)/eps)) + 1

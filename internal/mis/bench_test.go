@@ -18,10 +18,6 @@ func BenchmarkPrefixPhase(b *testing.B) {
 	g := graph.GNP(n, 1/math.Sqrt(float64(n)), rng.New(7))
 	opts := Options{Seed: 7}.withDefaults()
 	perm := rng.New(opts.Seed).SplitString("mis-perm").Perm(n)
-	rank := make([]int32, n)
-	for i, v := range perm {
-		rank[v] = int32(i)
-	}
 	ranks := prefixRanks(n, g.MaxDegree(), opts.PolylogDegree(n), opts.Alpha)
 	if len(ranks) == 0 {
 		b.Fatal("no prefix phases at this scale")
@@ -43,9 +39,9 @@ func BenchmarkPrefixPhase(b *testing.B) {
 				for j := range alive {
 					alive[j] = true
 				}
-				inMIS := make([]bool, n)
+				inMIS, inRange := make([]bool, n), make([]bool, n)
 				b.StartTimer()
-				if _, err := runPrefixPhase(g, perm, rank, alive, inMIS, 0, r, mt, workers); err != nil {
+				if _, err := runPrefixPhase(g, perm, alive, inMIS, inRange, 0, r, mt, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -43,7 +43,7 @@ func TestMPCGatherChargesOneRoundIntoLeader(t *testing.T) {
 		gather func(mt *mpcMISMeter) error
 	}{
 		{"phase", func(mt *mpcMISMeter) error {
-			gotVerts, gotEdgeWords, err := mt.PhaseGather(7, func(v int32) bool { return keep[v] })
+			gotVerts, gotEdgeWords, err := mt.PhaseGather(7, keep)
 			if err == nil && (gotVerts != verts || gotEdgeWords != 2*edges) {
 				t.Errorf("phase gather reports %d vertices and %d edge words, want %d and %d", gotVerts, gotEdgeWords, verts, 2*edges)
 			}

@@ -28,7 +28,6 @@ func newCliqueMISMeter(g *graph.Graph, opts Options) (*cliqueMISMeter, error) {
 		Players:         g.NumVertices(),
 		PairBudgetWords: 1,
 		Strict:          opts.Strict,
-		Workers:         opts.Workers,
 		Ctx:             opts.Ctx,
 		Trace:           opts.Trace,
 	})
@@ -79,31 +78,32 @@ func (cm *cliqueMISMeter) lenzenGatherChunks(total, maxOut int64) error {
 	}
 }
 
-// PhaseGather: every in-range vertex ships its in-range incident edges
-// (2 words each, counted once for the smaller endpoint) plus its own
-// id. The scan is read-only, so it fans out with integer accumulators
-// merged in shard order.
-func (cm *cliqueMISMeter) PhaseGather(r int, inRange func(v int32) bool) (int, int64, error) {
+// gather routes the keep-induced subgraph to the leader: every kept
+// vertex ships its own id plus its kept incident edges (2 words each,
+// counted once for the smaller endpoint), in Lenzen chunks of at most n
+// words. The scan is read-only, so it fans out with integer accumulators
+// merged in shard order. It returns the kept vertices and the edge
+// words.
+func (cm *cliqueMISMeter) gather(keep []bool) (vertices int, edgeWords int64, err error) {
 	g := cm.g
 	type volAcc struct {
-		total, maxOut, edgeWords int64
-		vertices                 int
+		total, maxOut int64
+		vertices      int
 	}
 	acc := par.Reduce(cm.workers, g.NumVertices(), func(lo, hi, _ int) volAcc {
 		var a volAcc
 		for u := int32(lo); u < int32(hi); u++ {
-			if !inRange(u) {
+			if !keep[u] {
 				continue
 			}
 			a.vertices++
 			var out int64 = 1 // its own id
 			for _, v := range g.Neighbors(u) {
-				if u < v && inRange(v) {
+				if u < v && keep[v] {
 					out += 2
 				}
 			}
 			a.total += out
-			a.edgeWords += out - 1
 			if out > a.maxOut {
 				a.maxOut = out
 			}
@@ -111,17 +111,22 @@ func (cm *cliqueMISMeter) PhaseGather(r int, inRange func(v int32) bool) (int, i
 		return a
 	}, func(a, b volAcc) volAcc {
 		a.total += b.total
-		a.edgeWords += b.edgeWords
 		a.vertices += b.vertices
 		if b.maxOut > a.maxOut {
 			a.maxOut = b.maxOut
 		}
 		return a
 	})
-	if err := cm.lenzenGatherChunks(acc.total, acc.maxOut); err != nil {
-		return acc.vertices, acc.edgeWords, fmt.Errorf("phase Lenzen gather at rank %d: %w", r, err)
+	return acc.vertices, acc.total - int64(acc.vertices), cm.lenzenGatherChunks(acc.total, acc.maxOut)
+}
+
+// PhaseGather routes the in-range induced subgraph to the leader.
+func (cm *cliqueMISMeter) PhaseGather(r int, inRange []bool) (int, int64, error) {
+	vertices, edgeWords, err := cm.gather(inRange)
+	if err != nil {
+		return vertices, edgeWords, fmt.Errorf("phase Lenzen gather at rank %d: %w", r, err)
 	}
-	return acc.vertices, acc.edgeWords, nil
+	return vertices, edgeWords, nil
 }
 
 // PhaseCommit: the leader scatters verdicts (one word per player), then
@@ -158,36 +163,10 @@ func (cm *cliqueMISMeter) DynamicsRound(alive []bool) error {
 // FinalGather routes the alive-induced residue to the leader in n-word
 // chunks, then the leader scatters the final verdicts.
 func (cm *cliqueMISMeter) FinalGather(alive []bool) error {
-	g := cm.g
-	n := cm.q.Players()
-	acc := par.Reduce(cm.workers, g.NumVertices(), func(lo, hi, _ int) [2]int64 {
-		var a [2]int64
-		for u := int32(lo); u < int32(hi); u++ {
-			if !alive[u] {
-				continue
-			}
-			var out int64 = 1
-			for _, v := range g.Neighbors(u) {
-				if u < v && alive[v] {
-					out += 2
-				}
-			}
-			a[0] += out
-			if out > a[1] {
-				a[1] = out
-			}
-		}
-		return a
-	}, func(a, b [2]int64) [2]int64 {
-		a[0] += b[0]
-		if b[1] > a[1] {
-			a[1] = b[1]
-		}
-		return a
-	})
-	if err := cm.lenzenGatherChunks(acc[0], acc[1]); err != nil {
+	if _, _, err := cm.gather(alive); err != nil {
 		return fmt.Errorf("residual Lenzen gather: %w", err)
 	}
+	n := cm.q.Players()
 	if err := cm.q.ChargeRound(1, int64(n-1), 1, int64(n-1)); err != nil {
 		return fmt.Errorf("final scatter: %w", err)
 	}
@@ -200,8 +179,6 @@ func (cm *cliqueMISMeter) Costs() meter.Costs {
 	met := cm.q.Metrics()
 	return meter.FoldCosts(met.Rounds, met.MaxPlayerIn, met.MaxPlayerOut, met.TotalWords, met.Violations)
 }
-
-func (cm *cliqueMISMeter) Close() { cm.q.Close() }
 
 // aliveDegreeProfile returns the maximum alive-induced degree and the
 // number of alive-induced edges.

@@ -36,7 +36,6 @@ func newMPCMISMeter(g *graph.Graph, opts Options) (*mpcMISMeter, error) {
 		Machines:      machines,
 		CapacityWords: capacity,
 		Strict:        opts.Strict,
-		Workers:       opts.Workers,
 		Ctx:           opts.Ctx,
 		Trace:         opts.Trace,
 	})
@@ -75,13 +74,14 @@ func (mm *mpcMISMeter) TinyCapacity() int64 { return mm.capacity }
 // comfortably within the leader memory S.
 func (mm *mpcMISMeter) ResidualLimit() int64 { return mm.capacity }
 
-// PhaseGather ships the in-range induced subgraph to the leader: 2
-// words per stored edge with both endpoints in range from the edge's
-// hash home, 1 word per range vertex from its owner. The scan is
-// read-only (homeOf is a stateless hash), so it fans out with
-// per-worker tallies merged in shard order — integer sums,
-// bit-identical at every worker count.
-func (mm *mpcMISMeter) PhaseGather(r int, inRange func(v int32) bool) (int, int64, error) {
+// gather charges shipping the keep-induced subgraph to the leader in one
+// round: 1 word per kept vertex from its owner, 2 words per stored edge
+// with both endpoints kept from the edge's hash home, all of it into
+// machine 0. The scan is read-only (homeOf is a stateless hash), so it
+// fans out with per-worker tallies merged in shard order — integer sums,
+// bit-identical at every worker count. It returns the kept vertices and
+// the edge words.
+func (mm *mpcMISMeter) gather(keep []bool) (vertices int, edgeWords int64, err error) {
 	g, machines := mm.g, mm.machines
 	type gatherAcc struct {
 		words     []int64
@@ -91,13 +91,13 @@ func (mm *mpcMISMeter) PhaseGather(r int, inRange func(v int32) bool) (int, int6
 	acc := par.Reduce(mm.workers, g.NumVertices(), func(lo, hi, _ int) gatherAcc {
 		a := gatherAcc{words: make([]int64, machines)}
 		for u := int32(lo); u < int32(hi); u++ {
-			if !inRange(u) {
+			if !keep[u] {
 				continue
 			}
 			a.vertices++
 			a.words[vertexHome(u, machines)]++
 			for _, v := range g.Neighbors(u) {
-				if u < v && inRange(v) {
+				if u < v && keep[v] {
 					a.words[mm.homeOf(u, v)] += 2
 					a.edgeWords += 2
 				}
@@ -112,23 +112,26 @@ func (mm *mpcMISMeter) PhaseGather(r int, inRange func(v int32) bool) (int, int6
 		a.edgeWords += b.edgeWords
 		return a
 	})
-	words := acc.words
-	if words == nil {
-		words = make([]int64, machines)
+	out, in := mm.cluster.Loads()
+	copy(out, acc.words)
+	for _, w := range out {
+		in[0] += w
 	}
-	parts := make([]mpc.Message, machines)
-	for i := range parts {
-		parts[i] = mpc.Message{Words: words[i]}
+	return acc.vertices, acc.edgeWords, mm.cluster.ChargeLoads(out, in)
+}
+
+// PhaseGather ships the in-range induced subgraph to the leader.
+func (mm *mpcMISMeter) PhaseGather(r int, inRange []bool) (int, int64, error) {
+	vertices, edgeWords, err := mm.gather(inRange)
+	if err != nil {
+		return vertices, edgeWords, fmt.Errorf("phase gather at rank %d: %w", r, err)
 	}
-	if _, err := mm.cluster.GatherTo(0, parts); err != nil {
-		return acc.vertices, acc.edgeWords, fmt.Errorf("phase gather at rank %d: %w", r, err)
-	}
-	return acc.vertices, acc.edgeWords, nil
+	return vertices, edgeWords, nil
 }
 
 // PhaseCommit broadcasts the additions to every machine.
 func (mm *mpcMISMeter) PhaseCommit(r int, newMIS []int32) error {
-	if _, err := mm.cluster.BroadcastFrom(0, int64(len(newMIS)), newMIS); err != nil {
+	if err := mm.cluster.ChargeBroadcast(int64(len(newMIS))); err != nil {
 		return fmt.Errorf("phase broadcast at rank %d: %w", r, err)
 	}
 	return nil
@@ -173,35 +176,7 @@ func (mm *mpcMISMeter) DynamicsRound(alive []bool) error {
 
 // FinalGather charges the residue shipment to the leader.
 func (mm *mpcMISMeter) FinalGather(alive []bool) error {
-	g, machines := mm.g, mm.machines
-	words := par.Reduce(mm.workers, g.NumVertices(), func(lo, hi, _ int) []int64 {
-		w := make([]int64, machines)
-		for u := int32(lo); u < int32(hi); u++ {
-			if !alive[u] {
-				continue
-			}
-			w[vertexHome(u, machines)]++
-			for _, v := range g.Neighbors(u) {
-				if u < v && alive[v] {
-					w[mm.homeOf(u, v)] += 2
-				}
-			}
-		}
-		return w
-	}, func(a, b []int64) []int64 {
-		for i, w := range b {
-			a[i] += w
-		}
-		return a
-	})
-	if words == nil {
-		words = make([]int64, machines)
-	}
-	parts := make([]mpc.Message, machines)
-	for i := range parts {
-		parts[i] = mpc.Message{Words: words[i]}
-	}
-	if _, err := mm.cluster.GatherTo(0, parts); err != nil {
+	if _, _, err := mm.gather(alive); err != nil {
 		return fmt.Errorf("residual gather: %w", err)
 	}
 	return nil
@@ -213,5 +188,3 @@ func (mm *mpcMISMeter) Costs() meter.Costs {
 	met := mm.cluster.Metrics()
 	return meter.FoldCosts(met.Rounds, met.MaxInWords, met.MaxOutWords, met.TotalWords, met.Violations)
 }
-
-func (mm *mpcMISMeter) Close() { mm.cluster.Close() }

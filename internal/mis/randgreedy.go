@@ -28,10 +28,11 @@ type misMeter interface {
 	// deployment has no such path (the clique, whose leader is a player
 	// with the same O(n) budget every phase already uses).
 	TinyCapacity() int64
-	// PhaseGather charges shipping the in-range alive induced subgraph
-	// to the leader and reports the gathered vertex count and edge words
-	// for PhaseInfo. r identifies the phase in errors.
-	PhaseGather(r int, inRange func(v int32) bool) (vertices int, edgeWords int64, err error)
+	// PhaseGather charges shipping the subgraph induced by the vertices
+	// inRange marks (the alive ones of the phase's rank range) to the
+	// leader and reports the gathered vertex count and edge words for
+	// PhaseInfo. r identifies the phase in errors.
+	PhaseGather(r int, inRange []bool) (vertices int, edgeWords int64, err error)
 	// PhaseCommit charges distributing the phase's MIS additions (MPC:
 	// one broadcast; clique: verdict scatter + neighbor notification).
 	PhaseCommit(r int, newMIS []int32) error
@@ -48,9 +49,6 @@ type misMeter interface {
 	SetActive(vertices int)
 	// Costs returns the audited totals so far.
 	Costs() meter.Costs
-	// Close releases the deployment's pooled routing scratch after the
-	// final Costs snapshot; the meter must not be used afterwards.
-	Close()
 }
 
 // newMISMeter builds the deployment for the selected model.
@@ -81,15 +79,10 @@ func randGreedy(g *graph.Graph, opts Options, m model.Model) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer mt.Close()
 	mt.SetActive(n)
 
 	src := rng.New(opts.Seed)
 	perm := src.SplitString("mis-perm").Perm(n)
-	rank := make([]int32, n)
-	for i, v := range perm {
-		rank[v] = int32(i)
-	}
 
 	beforeSetup := mt.Costs()
 	if err := mt.Setup(); err != nil {
@@ -118,10 +111,11 @@ func randGreedy(g *graph.Graph, opts Options, m model.Model) (*Result, error) {
 	}
 
 	ranks := prefixRanks(n, g.MaxDegree(), opts.PolylogDegree(n), opts.Alpha)
+	inRange := make([]bool, n)
 	prev := 0
 	for _, r := range ranks {
 		before := mt.Costs()
-		info, err := runPrefixPhase(g, perm, rank, alive, res.InMIS, prev, r, mt, opts.Workers)
+		info, err := runPrefixPhase(g, perm, alive, res.InMIS, inRange, prev, r, mt, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -171,21 +165,25 @@ func randGreedy(g *graph.Graph, opts Options, m model.Model) (*Result, error) {
 // runPrefixPhase gathers the induced subgraph on alive vertices with rank
 // in [prev, r), extends the greedy MIS on the leader, and distributes the
 // additions — the body of one Section 3 phase, model differences confined
-// to the meter.
+// to the meter. inRange is an all-false n-vertex mask the phase marks the
+// gathered vertices in, and leaves all false again.
 func runPrefixPhase(
 	g *graph.Graph,
 	perm []int32,
-	rank []int32,
-	alive, inMIS []bool,
+	alive, inMIS, inRange []bool,
 	prev, r int,
 	mt misMeter,
 	workers int,
 ) (PhaseInfo, error) {
 	info := PhaseInfo{Rank: r}
-	inRange := func(v int32) bool {
-		return alive[v] && int(rank[v]) >= prev && int(rank[v]) < r
+	phase := perm[prev:r]
+	for _, v := range phase {
+		inRange[v] = alive[v]
 	}
 	verts, edgeWords, err := mt.PhaseGather(r, inRange)
+	for _, v := range phase {
+		inRange[v] = false
+	}
 	if err != nil {
 		return info, err
 	}
@@ -196,8 +194,7 @@ func runPrefixPhase(
 	// order. Earlier ranks are fully settled (in MIS or dominated), so
 	// only in-range neighbors can block.
 	var newMIS []int32
-	for i := prev; i < r && i < len(perm); i++ {
-		v := perm[i]
+	for _, v := range phase {
 		if !alive[v] {
 			continue
 		}

@@ -34,7 +34,6 @@ func RealMessageCliqueMIS(g *graph.Graph, opts Options) (*Result, error) {
 		Players:         n,
 		PairBudgetWords: 1,
 		Strict:          opts.Strict,
-		Workers:         opts.Workers,
 		Ctx:             opts.Ctx,
 		Trace:           opts.Trace,
 	})

@@ -23,10 +23,9 @@ func TestChargeLoadsMatchesExchange(t *testing.T) {
 	for _, strict := range []bool{false, true} {
 		for trial := 0; trial < 40; trial++ {
 			var exEvents, ldEvents []model.TraceEvent
-			cfg := Config{Machines: machines, CapacityWords: capacity, Strict: strict, Workers: 0,
+			cfg := Config{Machines: machines, CapacityWords: capacity, Strict: strict,
 				Trace: func(ev model.TraceEvent) { exEvents = append(exEvents, ev) }}
 			ex, _ := NewCluster(cfg)
-			cfg.Workers = 1
 			cfg.Trace = func(ev model.TraceEvent) { ldEvents = append(ldEvents, ev) }
 			ld, _ := NewCluster(cfg)
 			for round := 0; round < 4; round++ {
@@ -79,8 +78,6 @@ func TestChargeLoadsMatchesExchange(t *testing.T) {
 			if !reflect.DeepEqual(exEvents, ldEvents) {
 				t.Fatalf("strict=%v trial %d: trace events diverge:\nExchange    %+v\nChargeLoads %+v", strict, trial, exEvents, ldEvents)
 			}
-			ex.Close()
-			ld.Close()
 		}
 	}
 	if outOver < 10 || inOver < 10 || strictErrs["out"] < 3 || strictErrs["in"] < 3 {

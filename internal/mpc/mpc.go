@@ -5,16 +5,17 @@
 // and every machine's sent and received data must fit in its memory.
 //
 // The simulator does not execute machine code; algorithms drive it by
-// submitting, once per round, the messages each machine emits. In return
-// the simulator delivers inboxes, counts rounds, audits per-machine loads
-// against the capacity S, and accumulates communication totals. Round and
-// space claims from the paper therefore become checkable outputs instead
-// of assumptions: an algorithm that overflows a machine fails loudly in
-// strict mode.
+// charging, once per round, the words each machine sends and receives
+// (ChargeLoads), or a broadcast of one payload to every machine
+// (ChargeBroadcast). In return the simulator counts rounds, audits
+// per-machine loads against the capacity S, and accumulates
+// communication totals. Round and space claims from the paper therefore
+// become checkable outputs instead of assumptions: an algorithm that
+// overflows a machine fails loudly in strict mode.
 //
-// The round loop, routing and accounting live in internal/machine; this
-// package is the MPC charge policy over that core: all-to-all exchange
-// with per-machine in/out loads audited against the memory capacity S.
+// The accounting lives in internal/machine; this package is the MPC
+// charge policy over that core: per-machine in/out loads audited against
+// the memory capacity S.
 package mpc
 
 import (
@@ -24,7 +25,6 @@ import (
 
 	"mpcgraph/internal/machine"
 	"mpcgraph/internal/model"
-	"mpcgraph/internal/rng"
 )
 
 // Config describes a cluster.
@@ -37,19 +37,14 @@ type Config struct {
 	// Strict makes capacity violations fail the offending operation.
 	// When false, violations are only recorded in Metrics.
 	Strict bool
-	// Workers bounds the goroutines used to process a round's outboxes
-	// (0 = all cores, 1 = sequential). Every setting produces identical
-	// inboxes, metrics and errors; see the package comment.
-	Workers int
 	// Ctx, when non-nil, is checked at the start of every round-charging
 	// operation; a cancelled context aborts the operation with ctx.Err(),
 	// making long simulated runs cancellable between rounds.
 	Ctx context.Context
 	// Trace, when non-nil, receives one TraceEvent per metered
-	// communication step (Exchange, ChargeLoads and the primitives built
-	// on Exchange emit one event each; BroadcastFrom emits one event
-	// covering its two rounds). Tracing never changes results, metrics
-	// or errors.
+	// communication step (ChargeLoads emits one event; ChargeBroadcast
+	// emits one event covering its two rounds). Tracing never changes
+	// results, metrics or errors.
 	Trace model.TraceFunc
 }
 
@@ -68,11 +63,6 @@ type Metrics struct {
 	Violations int
 }
 
-// Message is one unit of communication. Words is the size of Payload in
-// machine words as accounted by the model; the simulator trusts but
-// records it. Payload is opaque to the simulator.
-type Message = machine.Message
-
 // CapacityError reports a machine exceeding its memory in some round.
 type CapacityError struct {
 	Machine  int
@@ -89,14 +79,10 @@ func (e *CapacityError) Error() string {
 }
 
 // Cluster is a simulated MPC deployment. The model is bulk-synchronous,
-// so drive rounds from one goroutine; within a round the cluster fans
-// the per-machine send/receive/charge accounting out across Workers
-// goroutines itself (machines are independent inside a round, which is
-// exactly the parallelism the model grants). Delivery order, metrics and
-// errors are bit-identical for every Workers setting.
+// so drive rounds from one goroutine.
 type Cluster struct {
 	cfg  Config
-	core *machine.Core
+	core machine.Core
 }
 
 // NewCluster validates cfg and returns a fresh cluster.
@@ -108,25 +94,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, errors.New("mpc: negative capacity")
 	}
 	core := machine.NewCore(machine.Config{
-		Nodes:   cfg.Machines,
-		Workers: cfg.Workers,
-		Strict:  cfg.Strict,
-		Ctx:     cfg.Ctx,
-		Trace:   cfg.Trace,
-		Name:    "mpc",
-		Unit:    "machine",
+		Nodes:  cfg.Machines,
+		Strict: cfg.Strict,
+		Ctx:    cfg.Ctx,
+		Trace:  cfg.Trace,
+		Name:   "mpc",
+		Unit:   "machine",
 	})
 	return &Cluster{cfg: cfg, core: core}, nil
 }
-
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Close releases the cluster's pooled routing scratch for reuse by the
-// next cluster. Call it when the metered computation is finished; the
-// cluster must not be used afterwards. Idempotent; metrics snapshots
-// taken before Close stay valid.
-func (c *Cluster) Close() { c.core.Release() }
 
 // Metrics returns a snapshot of the accumulated metrics.
 func (c *Cluster) Metrics() Metrics {
@@ -148,10 +124,10 @@ func (c *Cluster) Machines() int { return c.cfg.Machines }
 // observers can correlate round costs with algorithmic progress.
 func (c *Cluster) SetActive(vertices int) { c.core.SetActive(vertices) }
 
-// Loads returns pooled per-machine word tallies, zeroed, for callers
-// that charge a round from its loads with ChargeLoads: out[i] for what
-// machine i sends, in[j] for what machine j receives. They stay valid
-// until the next Loads call on this cluster.
+// Loads returns per-machine word tallies, zeroed, for callers that
+// charge a round with ChargeLoads: out[i] for what machine i sends, in[j]
+// for what machine j receives. The cluster reuses them, so they stay
+// valid only until the next Loads call on this cluster.
 func (c *Cluster) Loads() (out, in []int64) { return c.core.Loads() }
 
 // audit is the MPC capacity policy: a per-round per-machine load above S
@@ -173,69 +149,17 @@ func (c *Cluster) audit(round, machineID int, words int64, in bool) error {
 	}
 }
 
-// Exchange executes one synchronous round. out[i] holds the messages
-// machine i emits; From fields are overwritten with i. The returned
-// slice in[j] holds the messages delivered to machine j, ordered by
-// sender then submission order, so delivery is deterministic.
-//
-// Per-machine outbox and inbox word totals are audited against S. In
-// strict mode the first violation aborts the round with a
-// *CapacityError; the round still counts (the machines did communicate —
-// that the model was violated is the finding).
-func (c *Cluster) Exchange(out [][]Message) ([][]Message, error) {
-	if len(out) != c.cfg.Machines {
-		return nil, fmt.Errorf("mpc: Exchange got %d outboxes for %d machines", len(out), c.cfg.Machines)
-	}
-	return c.core.Route(out, machine.RouteSpec{
-		Rounds: 1,
-		Verb:   "sent",
-		Audit:  c.audit,
-	})
-}
-
-// GatherTo performs a one-round convergecast: every machine i contributes
-// parts[i] (possibly nil) addressed implicitly to dst. Returns the
-// messages received by dst in machine order. The destination inbox is
-// audited against S — this is exactly the "deliver the subgraph to one
-// machine" step of the paper's MIS simulation, and the audit is the
-// memory claim of Theorem 1.1.
-func (c *Cluster) GatherTo(dst int, parts []Message) ([]Message, error) {
-	if dst < 0 || dst >= c.cfg.Machines {
-		return nil, fmt.Errorf("mpc: gather to invalid machine %d", dst)
-	}
-	if len(parts) != c.cfg.Machines {
-		return nil, fmt.Errorf("mpc: GatherTo got %d parts for %d machines", len(parts), c.cfg.Machines)
-	}
-	out := c.core.Outboxes()
-	for i := range parts {
-		if parts[i].Words == 0 && parts[i].Payload == nil {
-			continue
-		}
-		parts[i].To = dst
-		out[i] = append(out[i], parts[i])
-	}
-	in, err := c.Exchange(out)
-	if err != nil {
-		return nil, err
-	}
-	return in[dst], nil
-}
-
-// BroadcastFrom delivers one payload from src to every machine. In a real
-// deployment this is an O(1)-round broadcast tree ("standard techniques"
-// in the paper); the simulator charges the configured broadcast cost of
-// two rounds (up and down the tree) and audits the payload size against
-// every receiver's memory.
-func (c *Cluster) BroadcastFrom(src int, words int64, payload any) ([]Message, error) {
-	if src < 0 || src >= c.cfg.Machines {
-		return nil, fmt.Errorf("mpc: broadcast from invalid machine %d", src)
-	}
+// ChargeBroadcast charges delivering one payload of words words from a
+// machine to every machine. In a real deployment this is an O(1)-round
+// broadcast tree ("standard techniques" in the paper); the simulator
+// charges two rounds (up and down the tree), words per machine in total
+// volume and one trace event, and audits every receiver's copy against
+// S in machine order. The source's fan-out is not an outbox load: the
+// tree splits it.
+func (c *Cluster) ChargeBroadcast(words int64) error {
 	if err := c.core.Interrupted(); err != nil {
-		return nil, err
+		return err
 	}
-	// Model cost: one round to populate the tree, one to fan out. The
-	// source's fan-out is exempt from the outbox audit (the tree splits
-	// it); every receiver's copy is audited against S.
 	c.core.AddRounds(2)
 	c.core.Emit(words * int64(c.cfg.Machines))
 	round := c.core.Rounds()
@@ -251,23 +175,19 @@ func (c *Cluster) BroadcastFrom(src int, words int64, payload any) ([]Message, e
 		}
 	}
 	if firstErr != nil && c.cfg.Strict {
-		return nil, firstErr
+		return firstErr
 	}
-	in := make([]Message, c.cfg.Machines)
-	for j := 0; j < c.cfg.Machines; j++ {
-		in[j] = Message{From: src, To: j, Words: words, Payload: payload}
-	}
-	return in, nil
+	return nil
 }
 
 // ChargeLoads executes one round described by its per-machine loads:
-// machine i sends out[i] words and machine j receives in[j]. It is the
-// load form of Exchange for callers whose messages matter only through
-// those loads, and charges exactly what Exchange of any message set with
-// the same loads would: the round, the total volume, one trace event,
-// then the outbox audits in machine order and the inbox audits, so
-// metrics, trace events and strict-mode errors match. The loads must be
-// non-negative and balance (the same total sent as received).
+// machine i sends out[i] words and machine j receives in[j]. It charges
+// exactly what routing any message set with the same loads would: the
+// round, the total volume, one trace event, then the outbox audits in
+// machine order and the inbox audits, so metrics, trace events and
+// strict-mode errors match (TestChargeLoadsMatchesExchange holds it to
+// the reference router). The loads must be non-negative and balance (the
+// same total sent as received).
 func (c *Cluster) ChargeLoads(out, in []int64) error {
 	m := c.cfg.Machines
 	if len(out) != m || len(in) != m {
@@ -313,16 +233,4 @@ func (c *Cluster) ChargeLoads(out, in []int64) error {
 		return firstErr
 	}
 	return nil
-}
-
-// PartitionVertices assigns each of n vertices to one of m machines
-// independently and uniformly at random — the vertex partitioning step of
-// the paper's matching simulation (Line (d) of MPC-Simulation) and of
-// [CŁM+18].
-func PartitionVertices(n, m int, src *rng.Source) []int32 {
-	part := make([]int32, n)
-	for v := range part {
-		part[v] = int32(src.Intn(m))
-	}
-	return part
 }

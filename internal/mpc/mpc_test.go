@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mpcgraph/internal/model"
-	"mpcgraph/internal/rng"
 )
 
 func TestNewClusterValidation(t *testing.T) {
@@ -118,64 +117,10 @@ func TestUnlimitedCapacity(t *testing.T) {
 	}
 }
 
-func TestGatherTo(t *testing.T) {
-	c, _ := NewCluster(Config{Machines: 4, CapacityWords: 100, Strict: true})
-	parts := make([]Message, 4)
-	for i := range parts {
-		parts[i] = Message{Words: int64(i + 1), Payload: i * 10}
-	}
-	got, err := c.GatherTo(2, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("gathered %d messages, want 4", len(got))
-	}
-	for i, msg := range got {
-		if msg.From != i || msg.Payload != i*10 {
-			t.Errorf("message %d = %+v", i, msg)
-		}
-	}
-	if c.Metrics().Rounds != 1 {
-		t.Errorf("gather cost %d rounds, want 1", c.Metrics().Rounds)
-	}
-}
-
-func TestGatherToSkipsEmptyParts(t *testing.T) {
-	c, _ := NewCluster(Config{Machines: 3})
-	parts := make([]Message, 3)
-	parts[1] = Message{Words: 4, Payload: "x"}
-	got, err := c.GatherTo(0, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].From != 1 {
-		t.Errorf("got %+v", got)
-	}
-}
-
-func TestGatherToOverflow(t *testing.T) {
-	c, _ := NewCluster(Config{Machines: 3, CapacityWords: 10, Strict: true})
-	parts := []Message{{Words: 5, Payload: 1}, {Words: 5, Payload: 2}, {Words: 5, Payload: 3}}
-	if _, err := c.GatherTo(0, parts); err == nil {
-		t.Error("gather overflow accepted")
-	}
-}
-
-func TestGatherToValidation(t *testing.T) {
-	c, _ := NewCluster(Config{Machines: 2})
-	if _, err := c.GatherTo(5, make([]Message, 2)); err == nil {
-		t.Error("invalid destination accepted")
-	}
-	if _, err := c.GatherTo(0, make([]Message, 3)); err == nil {
-		t.Error("wrong parts count accepted")
-	}
-}
-
-// TestBroadcastFrom pins what a broadcast charges: two rounds, words·M
+// TestChargeBroadcast pins what a broadcast charges: two rounds, words·M
 // total words, words as every machine's inbox (the source's fan-out is
 // not an outbox load) and one trace event of words·M.
-func TestBroadcastFrom(t *testing.T) {
+func TestChargeBroadcast(t *testing.T) {
 	var events []model.TraceEvent
 	c, _ := NewCluster(Config{Machines: 5, CapacityWords: 100, Strict: true,
 		Trace: func(ev model.TraceEvent) { events = append(events, ev) }})
@@ -185,23 +130,14 @@ func TestBroadcastFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetActive(4)
-	got, err := c.BroadcastFrom(3, 7, "hello")
-	if err != nil {
+	if err := c.ChargeBroadcast(7); err != nil {
 		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("broadcast delivered %d copies", len(got))
-	}
-	for j, msg := range got {
-		if msg.From != 3 || msg.To != j || msg.Payload != "hello" {
-			t.Errorf("copy %d = %+v", j, msg)
-		}
 	}
 	want := Metrics{Rounds: 3, MaxInWords: 11, MaxOutWords: 11, TotalWords: 11 + 35}
 	if m := c.Metrics(); m != want {
 		t.Errorf("metrics = %+v, want %+v", m, want)
 	}
-	if _, err := c.BroadcastFrom(0, 13, nil); err != nil {
+	if err := c.ChargeBroadcast(13); err != nil {
 		t.Fatal(err)
 	}
 	want = Metrics{Rounds: 5, MaxInWords: 13, MaxOutWords: 11, TotalWords: 11 + 35 + 65}
@@ -223,7 +159,7 @@ func TestBroadcastFrom(t *testing.T) {
 // otherwise.
 func TestBroadcastOverflow(t *testing.T) {
 	c, _ := NewCluster(Config{Machines: 3, CapacityWords: 5, Strict: true})
-	_, err := c.BroadcastFrom(0, 9, nil)
+	err := c.ChargeBroadcast(9)
 	want := &CapacityError{Machine: 0, Round: 2, Words: 9, Capacity: 5, Dir: "in"}
 	var ce *CapacityError
 	if !errors.As(err, &ce) || *ce != *want {
@@ -233,40 +169,11 @@ func TestBroadcastOverflow(t *testing.T) {
 		t.Errorf("metrics after a strict overflow = %+v", m)
 	}
 	lax, _ := NewCluster(Config{Machines: 3, CapacityWords: 5})
-	if _, err := lax.BroadcastFrom(0, 9, nil); err != nil {
+	if err := lax.ChargeBroadcast(9); err != nil {
 		t.Fatalf("non-strict overflow errored: %v", err)
 	}
 	if v := lax.Metrics().Violations; v != 3 {
 		t.Errorf("violations = %d, want 3", v)
-	}
-	if _, err := c.BroadcastFrom(7, 1, nil); err == nil {
-		t.Error("invalid source accepted")
-	}
-}
-
-func TestPartitionVertices(t *testing.T) {
-	part := PartitionVertices(10000, 16, rng.New(42))
-	counts := make([]int, 16)
-	for _, p := range part {
-		if p < 0 || p >= 16 {
-			t.Fatalf("assignment %d out of range", p)
-		}
-		counts[p]++
-	}
-	for i, cnt := range counts {
-		if cnt < 400 || cnt > 900 { // 625 expected
-			t.Errorf("machine %d received %d vertices, want about 625", i, cnt)
-		}
-	}
-}
-
-func TestPartitionDeterminism(t *testing.T) {
-	a := PartitionVertices(100, 4, rng.New(7))
-	b := PartitionVertices(100, 4, rng.New(7))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("partition not deterministic")
-		}
 	}
 }
 
