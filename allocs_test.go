@@ -21,17 +21,17 @@ func TestSolveAllocsCeiling(t *testing.T) {
 		t.Skip("allocation counts differ under the race runtime")
 	}
 	ceilings := map[string]float64{
-		"mis/mpc":                                27,  // 22
-		"mis/congested-clique":                   94,  // 78
+		"mis/mpc":                                18,  // 15
+		"mis/congested-clique":                   92,  // 77
 		"maximal-matching/mpc":                   12,  // 10
 		"maximal-matching/congested-clique":      12,  // 10
-		"approx-matching/mpc":                    454, // 378
+		"approx-matching/mpc":                    407, // 339
 		"approx-matching/congested-clique":       406, // 338
-		"one-plus-eps-matching/mpc":              478, // 398
+		"one-plus-eps-matching/mpc":              430, // 358
 		"one-plus-eps-matching/congested-clique": 428, // 357
-		"vertex-cover/mpc":                       78,  // 65
+		"vertex-cover/mpc":                       73,  // 61
 		"vertex-cover/congested-clique":          72,  // 60
-		"weighted-matching/mpc":                  306, // 255
+		"weighted-matching/mpc":                  305, // 254
 	}
 	for _, pair := range mpcgraph.Algorithms() {
 		t.Run(pair.String(), func(t *testing.T) {

@@ -65,3 +65,31 @@ func BenchmarkRandGreedyMPC(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGatherAllMPC measures an MPC solve that takes the gather-all
+// path, as mpcgraph solve does on rmat files of this size: rmat 2¹⁷ at
+// the rmat scenario's defaults fits the leader's memory, so the run is
+// one gather of the whole input followed by the greedy on the leader.
+func BenchmarkGatherAllMPC(b *testing.B) {
+	const n = 1 << 17
+	g := graph.RMAT(n, 8*n, 0.57, 0.19, 0.19, rng.New(3))
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := Options{Seed: 3, Workers: workers}
+			res, err := RandGreedyMPC(g, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Stages) != 1 || res.Stages[0].Name != "gather-all" {
+				b.Fatalf("stages %+v: not the gather-all path", res.Stages)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RandGreedyMPC(g, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
