@@ -124,9 +124,9 @@ func (cm *cliqueMISMeter) gather(keep []bool) (vertices int, edgeWords int64, er
 func (cm *cliqueMISMeter) PhaseGather(r int, inRange []bool) (int, int64, error) {
 	vertices, edgeWords, err := cm.gather(inRange)
 	if err != nil {
-		return vertices, edgeWords, fmt.Errorf("phase Lenzen gather at rank %d: %w", r, err)
+		err = fmt.Errorf("phase Lenzen gather at rank %d: %w", r, err)
 	}
-	return vertices, edgeWords, nil
+	return vertices, edgeWords, err
 }
 
 // PhaseCommit: the leader scatters verdicts (one word per player), then

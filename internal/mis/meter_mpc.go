@@ -84,9 +84,8 @@ func (mm *mpcMISMeter) ResidualLimit() int64 { return mm.capacity }
 func (mm *mpcMISMeter) gather(keep []bool) (vertices int, edgeWords int64, err error) {
 	g, machines := mm.g, mm.machines
 	type gatherAcc struct {
-		words     []int64
-		vertices  int
-		edgeWords int64
+		words    []int64
+		vertices int
 	}
 	acc := par.Reduce(mm.workers, g.NumVertices(), func(lo, hi, _ int) gatherAcc {
 		a := gatherAcc{words: make([]int64, machines)}
@@ -99,7 +98,6 @@ func (mm *mpcMISMeter) gather(keep []bool) (vertices int, edgeWords int64, err e
 			for _, v := range g.Neighbors(u) {
 				if u < v && keep[v] {
 					a.words[mm.homeOf(u, v)] += 2
-					a.edgeWords += 2
 				}
 			}
 		}
@@ -109,7 +107,6 @@ func (mm *mpcMISMeter) gather(keep []bool) (vertices int, edgeWords int64, err e
 			a.words[i] += w
 		}
 		a.vertices += b.vertices
-		a.edgeWords += b.edgeWords
 		return a
 	})
 	out, in := mm.cluster.Loads()
@@ -117,16 +114,16 @@ func (mm *mpcMISMeter) gather(keep []bool) (vertices int, edgeWords int64, err e
 	for _, w := range out {
 		in[0] += w
 	}
-	return acc.vertices, acc.edgeWords, mm.cluster.ChargeLoads(out, in)
+	return acc.vertices, in[0] - int64(acc.vertices), mm.cluster.ChargeLoads(out, in)
 }
 
 // PhaseGather ships the in-range induced subgraph to the leader.
 func (mm *mpcMISMeter) PhaseGather(r int, inRange []bool) (int, int64, error) {
 	vertices, edgeWords, err := mm.gather(inRange)
 	if err != nil {
-		return vertices, edgeWords, fmt.Errorf("phase gather at rank %d: %w", r, err)
+		err = fmt.Errorf("phase gather at rank %d: %w", r, err)
 	}
-	return vertices, edgeWords, nil
+	return vertices, edgeWords, err
 }
 
 // PhaseCommit broadcasts the additions to every machine.
