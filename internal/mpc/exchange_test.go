@@ -12,10 +12,11 @@ import (
 type Message = machine.Message
 
 // Exchange executes one synchronous round with real messages through the
-// core's reference router: the reference ChargeLoads is held to. out[i]
-// holds the messages machine i emits; From fields are overwritten with
-// i. The returned slice in[j] holds the messages delivered to machine j,
-// ordered by sender then submission order, so delivery is deterministic.
+// core's reference router; TestChargeLoadsMatchesExchange holds
+// ChargeLoads to it. out[i] holds the messages machine i emits; From
+// fields are overwritten with i. The returned slice in[j] holds the
+// messages delivered to machine j, ordered by sender then submission
+// order, so delivery is deterministic.
 //
 // Per-machine outbox and inbox word totals are audited against S. In
 // strict mode the first violation aborts the round with a
