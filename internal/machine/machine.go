@@ -179,9 +179,9 @@ func (c *Core) Loads() (out, in []int64) {
 	return c.loads[:n:n], c.loads[n:]
 }
 
-// Route executes one metered communication step with real messages, in
-// one sequential pass. It is the reference the load charges are tested
-// against; no production path calls it. It validates and tallies every
+// Route executes one metered communication step with real messages,
+// sequentially. It is the reference the load charges are tested against;
+// no production path calls it. It validates and tallies every
 // outbox, commits the volume, emits one trace event, delivers the
 // messages (ordered by sender, then submission order) and audits
 // per-node loads per spec. out[i] holds the messages node i emits; From
