@@ -152,8 +152,9 @@ func (q *Clique) lenzenAudit(round, player int, words int64, in bool) error {
 
 // Round executes one synchronous round. out[i] holds player i's messages;
 // the per-ordered-pair budget is enforced. Delivery order is by sender.
-// The real-message MIS of internal/mis/realmessage_test.go needs it;
-// algorithms charge rounds with ChargeRound.
+// Algorithms charge rounds with ChargeRound; Round stays for the
+// real-message MIS of internal/mis/realmessage_test.go, against which
+// TestRealMessageMatchesChargedSimulation checks the charged MIS.
 func (q *Clique) Round(out [][]Message) ([][]Message, error) {
 	if len(out) != q.cfg.Players {
 		return nil, fmt.Errorf("congest: Round got %d outboxes for %d players", len(out), q.cfg.Players)
@@ -171,9 +172,10 @@ func (q *Clique) Round(out [][]Message) ([][]Message, error) {
 // (charged as two) provided no player sends more than n words and no
 // player is the destination of more than n words — the guarantee of
 // Lenzen's deterministic routing scheme [Len13]. The precondition is
-// validated; violations are findings about the calling algorithm. The
-// real-message MIS of internal/mis/realmessage_test.go needs it;
-// algorithms charge invocations with ChargeLenzen.
+// validated; violations are findings about the calling algorithm.
+// Algorithms charge invocations with ChargeLenzen; LenzenRoute stays for
+// the real-message MIS of internal/mis/realmessage_test.go, against which
+// TestRealMessageMatchesChargedSimulation checks the charged MIS.
 func (q *Clique) LenzenRoute(out [][]Message) ([][]Message, error) {
 	if len(out) != q.cfg.Players {
 		return nil, fmt.Errorf("congest: LenzenRoute got %d outboxes for %d players", len(out), q.cfg.Players)
@@ -240,8 +242,9 @@ func (q *Clique) ChargeLenzen(maxOut, maxIn, total int64) error {
 // AllBroadcast has every player send the same wordsEach-sized payload to
 // all other players in one round (legal whenever wordsEach fits the pair
 // budget). payloads[i] is player i's value; the result received[j][i] is
-// payloads[i] for every j != i, nil at i == j. The real-message MIS of
-// internal/mis/realmessage_test.go needs it.
+// payloads[i] for every j != i, nil at i == j. It stays for the
+// real-message MIS of internal/mis/realmessage_test.go, against which
+// TestRealMessageMatchesChargedSimulation checks the charged MIS.
 func (q *Clique) AllBroadcast(wordsEach int, payloads []any) ([][]any, error) {
 	n := q.cfg.Players
 	if len(payloads) != n {
