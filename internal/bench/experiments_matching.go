@@ -323,7 +323,7 @@ func runE10(cfg Config) *Table {
 		g := graph.GNP(n, 8/float64(n), src)
 		wg := graph.RandomWeights(g, 1, spread, src)
 		ours, err := matching.ApproxMaxWeightedMatchingMPC(wg, matching.WeightedMPCOptions{
-			Eps: 0.1, Seed: seed, MemoryFactor: 16, Workers: cfg.Workers,
+			Eps: 0.1, Seed: seed, MemoryFactor: 16,
 		})
 		if err != nil {
 			continue

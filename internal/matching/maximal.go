@@ -18,8 +18,6 @@ type MaximalOptions struct {
 	MemoryFactor float64
 	// Strict makes capacity violations fail the run.
 	Strict bool
-	// Workers bounds goroutine fan-out in the metered backend.
-	Workers int
 	// Model selects the metered backend; outputs are identical across
 	// models.
 	Model model.Model

@@ -119,8 +119,6 @@ type WeightedMPCOptions struct {
 	MemoryFactor float64
 	// Strict makes capacity violations fail the run.
 	Strict bool
-	// Workers bounds goroutine fan-out in the metered cluster.
-	Workers int
 	// Ctx, when non-nil, cancels the run between rounds.
 	Ctx context.Context
 	// Trace, when non-nil, observes every metered round.

@@ -75,7 +75,6 @@ func maximalRunner(m model.Model) func(context.Context, Input, Options) (*Report
 			Seed:         opts.Seed,
 			MemoryFactor: opts.MemoryFactor,
 			Strict:       opts.Strict,
-			Workers:      opts.Workers,
 			Model:        m,
 			Ctx:          ctx,
 			Trace:        opts.Trace,
@@ -178,7 +177,6 @@ func runWeightedMPC(ctx context.Context, in Input, opts Options) (*Report, error
 		Eps:          opts.Eps,
 		MemoryFactor: opts.MemoryFactor,
 		Strict:       opts.Strict,
-		Workers:      opts.Workers,
 		Ctx:          ctx,
 		Trace:        opts.Trace,
 	})

@@ -426,7 +426,7 @@ func (j *Job) run(s *Server) {
 		s.mu.Unlock()
 		// The histogram records once per Solve call — the operation
 		// boundary — never inside the metered round loop, so the
-		// instrumentation is invisible to the routing benchmarks.
+		// instrumentation is invisible to the simulator benchmarks.
 		j.lg.Info(f.ctx, "job.solve.start",
 			obs.F("problem", j.problem.String()),
 			obs.F("model", j.model.String()),

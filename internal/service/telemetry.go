@@ -17,7 +17,7 @@ import (
 // Recording discipline: histograms observe at operation boundaries —
 // an HTTP request, a queue wait, one Solve call, one disk op — never
 // inside the metered round loop, so the audited cost model and the
-// routing benchmarks see zero instrumentation overhead.
+// simulator benchmarks see zero instrumentation overhead.
 type telemetry struct {
 	log *obs.Logger
 	reg *obs.Registry
